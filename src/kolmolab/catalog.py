@@ -156,7 +156,9 @@ def _cubic_family(name, p, center):
 
     def b(t, x):
         y = x - center
-        return -lin * y - cub * y**3
+        # y * y * y, not y**3: numpy's float power is ~80x slower here and
+        # the drift is the simulator's innermost call
+        return -lin * y - cub * (y * y * y)
 
     def jac_b(t, x):
         y = x - center

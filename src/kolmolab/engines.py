@@ -99,6 +99,7 @@ class MonteCarloEngine:
         n_inner=192,
         n_outer=2048,
         mu_tol=1e-3,
+        sample=None,
     ):
         if spec.r0 >= 0.0:
             raise DomainError("Monte Carlo engine needs a dissipative spec (r0 < 0)")
@@ -110,6 +111,8 @@ class MonteCarloEngine:
         # outer points; the cloud is i.i.d. so a prefix is unbiased.
         self.n_outer = n_outer
         self.mu_tol = mu_tol
+        # ``sample`` stands in for measures.sample_mu, e.g. a run-scoped memo
+        self.sample = sample
         self.eta0 = spec.eta0
         self.Lambda = spec.Lambda
         self.r0 = spec.r0
@@ -126,7 +129,8 @@ class MonteCarloEngine:
             cfg = replace(
                 self.cfg, n_paths=self.cloud_size, seed=self._seed_for(1, t)
             )
-            self._measures[key] = sample_mu(self.spec, t, self.mu_tol, cfg)
+            sample = self.sample or sample_mu
+            self._measures[key] = sample(self.spec, t, self.mu_tol, cfg)
         return self._measures[key]
 
     def apply_G_at(self, s, t, f, xs):

@@ -219,14 +219,17 @@ def _gaussian_mean_pair(mu, f, order):
     return mean, max(1e-12, abs(mean - check))
 
 
-def invariance_defect(obj, s, t, f, cfg=None, mu_s=None, mu_t=None, order=64):
+def invariance_defect(
+    obj, s, t, f, cfg=None, mu_s=None, mu_t=None, order=64, sample=None
+):
     """| int G(t,s) f d mu_t - int f d mu_s | with its tolerance.
 
     For an :class:`OUModel` both sides are quadratures (outer Gauss-Hermite
     over mu_t of the kernel-evaluated G(t,s)f, and a plain quadrature of f
     under mu_s).  For a :class:`ProblemSpec` the left side propagates a
     mu_t-distributed cloud from s to t (one path per sample) and the right
-    side averages f over an independent mu_s cloud.
+    side averages f over an independent mu_s cloud.  Missing clouds come
+    from ``sample`` (default :func:`sample_mu`, same signature).
     """
     from .ou import ou_apply_G  # local import to keep module load light
 
@@ -248,7 +251,8 @@ def invariance_defect(obj, s, t, f, cfg=None, mu_s=None, mu_t=None, order=64):
 
     spec = obj
     cfg = cfg or sde.SimConfig()
-    mu_t = mu_t or sample_mu(spec, t, cfg=cfg)
+    sample = sample or sample_mu
+    mu_t = mu_t or sample(spec, t, cfg=cfg)
     seed_shift = sde.SimConfig(
         dt=cfg.dt, n_paths=mu_t.n, seed=cfg.seed + 101, scheme=cfg.scheme
     )
@@ -264,7 +268,7 @@ def invariance_defect(obj, s, t, f, cfg=None, mu_s=None, mu_t=None, order=64):
         cfg_s = sde.SimConfig(
             dt=cfg.dt, n_paths=cfg.n_paths, seed=cfg.seed + 7919, scheme=cfg.scheme
         )
-        mu_s = sample_mu(spec, s, cfg=cfg_s)
+        mu_s = sample(spec, s, cfg=cfg_s)
     rhs, se_r = mu_s.expectation(f)
     return Defect(
         value=abs(lhs - rhs),
@@ -315,11 +319,14 @@ def _ou_generator_mean(model, r, f, mu, order):
     return float(w @ gen_vals(pts))
 
 
-def flow_derivative_defect(obj, f, r, h=1e-2, cfg=None, mu_tol=1e-3, order=64):
+def flow_derivative_defect(
+    obj, f, r, h=1e-2, cfg=None, mu_tol=1e-3, order=64, sample=None
+):
     """Defect of d/dr m_r(f) = -m_r(A(r) f) via a central difference.
 
     Only admits functions that are constant outside a compact set (the
-    identity is proved for that class); others are refused.
+    identity is proved for that class); others are refused.  The Monte
+    Carlo mu_r cloud comes from ``sample`` (default :func:`sample_mu`).
     """
     if not f.meta.compact_support:
         raise DomainError(
@@ -364,7 +371,7 @@ def flow_derivative_defect(obj, f, r, h=1e-2, cfg=None, mu_tol=1e-3, order=64):
     cfg_mid = sde.SimConfig(
         dt=cfg.dt, n_paths=cfg.n_paths, seed=cfg.seed + 37, scheme=cfg.scheme
     )
-    mu_0 = sample_mu(spec, r, mu_tol, cfg_mid)
+    mu_0 = (sample or sample_mu)(spec, r, mu_tol, cfg_mid)
     gen_vals_fn = _GeneratorValues(spec, r, f)
     gen, se_gen = mu_0.expectation(gen_vals_fn)
     return Defect(

@@ -433,7 +433,37 @@ def _mehler_moments(model, t, s, rtol=1e-10):
     return M, m, 0.5 * (C + C.T)
 
 
-def ou_apply_G(model, t, s, f, x, order=64, node_chunk=4096):
+# Gauss-Hermite chunks hold about this many point x node x coordinate
+# values (1 MB of float64), so memory stays flat as the node count grows
+# with the dimension.  Every point still sums over all its nodes at once.
+_CHUNK_VALUES = 1 << 17
+
+
+def _kernel_offsets(model, t, s, order):
+    """(M, m, offsets, w): kernel moments and the node offsets sqrt(2) L z,
+    so that (G(t, s) f)(x) = sum_k w_k f(M x + m + offsets_k)."""
+    M, m, C = _mehler_moments(model, t, s)
+    z, w = gauss_hermite_rule(model.dim, order)
+    offsets = math.sqrt(2.0) * (z @ sqrtm_psd(C).T)
+    return M, m, offsets, w
+
+
+def _point_chunks(n, offsets):
+    """Slices of the n evaluation points, about _CHUNK_VALUES values each.
+
+    No slice holds a single point unless n == 1: numpy computes a one-row
+    matrix-vector product with a dot kernel that sums in another order than
+    the multi-row kernel, and a point's value must not depend on where the
+    chunk boundaries fall."""
+    step = max(2, _CHUNK_VALUES // offsets.size)
+    i0 = 0
+    while i0 < n:
+        i1 = n if n - i0 <= step + 1 else i0 + step
+        yield slice(i0, i1)
+        i0 = i1
+
+
+def ou_apply_G(model, t, s, f, x, order=64):
     """(G(t, s) f)(x) through the Gaussian kernel representation.
 
     ``x`` may be a point (d,) or a batch (n, d).  Requires t >= s;
@@ -445,23 +475,17 @@ def ou_apply_G(model, t, s, f, x, order=64, node_chunk=4096):
     if t == s:
         vals = np.asarray(f.value(xb), dtype=float).reshape(xb.shape[0])
         return vals[0] if single else vals
-    M, m, C = _mehler_moments(model, t, s)
-    L = sqrtm_psd(C)
-    z, w = gauss_hermite_rule(model.dim, order)
+    M, m, offsets, w = _kernel_offsets(model, t, s, order)
     centers = xb @ M.T + m  # (n, d)
-    out = np.zeros(xb.shape[0])
-    for k0 in range(0, z.shape[0], node_chunk):
-        zc = z[k0 : k0 + node_chunk]
-        wc = w[k0 : k0 + node_chunk]
-        pts = centers[:, None, :] + math.sqrt(2.0) * (zc @ L.T)[None, :, :]
-        vals = np.asarray(
-            f.value(pts.reshape(-1, model.dim)), dtype=float
-        ).reshape(xb.shape[0], zc.shape[0])
-        out += vals @ wc
+    out = np.empty(xb.shape[0])
+    for chunk in _point_chunks(xb.shape[0], offsets):
+        pts = centers[chunk, None, :] + offsets[None, :, :]
+        vals = np.asarray(f.value(pts.reshape(-1, model.dim)), dtype=float)
+        out[chunk] = vals.reshape(-1, w.shape[0]) @ w
     return out[0] if single else out
 
 
-def ou_apply_grad_G(model, t, s, f, x, order=64, node_chunk=4096):
+def ou_apply_grad_G(model, t, s, f, x, order=64):
     """grad_x (G(t, s) f)(x) = M^T E[grad f(M x + m + Z)], M = U(s, t)."""
     if t < s:
         raise DomainError(f"need t >= s, got t={t} < s={s}")
@@ -469,19 +493,15 @@ def ou_apply_grad_G(model, t, s, f, x, order=64, node_chunk=4096):
     if t == s:
         g = np.asarray(f.gradient(xb), dtype=float).reshape(xb.shape)
         return g[0] if single else g
-    M, m, C = _mehler_moments(model, t, s)
-    L = sqrtm_psd(C)
-    z, w = gauss_hermite_rule(model.dim, order)
+    M, m, offsets, w = _kernel_offsets(model, t, s, order)
     centers = xb @ M.T + m
-    acc = np.zeros_like(xb)
-    for k0 in range(0, z.shape[0], node_chunk):
-        zc = z[k0 : k0 + node_chunk]
-        wc = w[k0 : k0 + node_chunk]
-        pts = centers[:, None, :] + math.sqrt(2.0) * (zc @ L.T)[None, :, :]
-        grads = np.asarray(
-            f.gradient(pts.reshape(-1, model.dim)), dtype=float
-        ).reshape(xb.shape[0], zc.shape[0], model.dim)
-        acc += np.einsum("nkd,k->nd", grads, wc)
+    acc = np.empty_like(xb)
+    for chunk in _point_chunks(xb.shape[0], offsets):
+        pts = centers[chunk, None, :] + offsets[None, :, :]
+        grads = np.asarray(f.gradient(pts.reshape(-1, model.dim)), dtype=float)
+        acc[chunk] = np.einsum(
+            "nkd,k->nd", grads.reshape(-1, w.shape[0], model.dim), w
+        )
     out = acc @ M
     return out[0] if single else out
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -32,11 +33,7 @@ import numpy as np
 from . import functions as fb
 from ._version import __version__
 from .engines import engine_for, mean_under_measure
-from .errors import (
-    CertificateUnavailableError,
-    KolmolabError,
-    ScenarioError,
-)
+from .errors import CertificateUnavailableError, ScenarioError
 from .ineq import (
     ExperimentRow,
     CSV_COLUMNS,
@@ -54,6 +51,7 @@ from .measures import (
     export_measure_json,
     flow_derivative_defect,
     invariance_defect,
+    sample_mu,
     tightness_profile,
     weak_star_gap,
 )
@@ -77,6 +75,12 @@ class RunContext:
     scn: object
     bundle: object
     cfg: SimConfig
+    # burn-in clouds of this run, one lock per key (experiments run on threads)
+    _clouds: dict = field(default_factory=dict, init=False, repr=False)
+    _locks: dict = field(default_factory=dict, init=False, repr=False)
+    _locks_guard: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
 
     @property
     def spec(self):
@@ -90,12 +94,30 @@ class RunContext:
     def dim(self):
         return self.bundle.spec.dim
 
+    def sample_mu(self, spec, t, tol=1e-3, cfg=None):
+        """:func:`kolmolab.measures.sample_mu`, computed once per run and key.
+
+        A cloud depends only on its arguments, so sharing it between
+        experiments changes no result.  A burn-in that raises is not cached,
+        and cached samples are read-only."""
+        key = (spec, float(t), float(tol), cfg)
+        with self._locks_guard:
+            lock = self._locks.setdefault(key, threading.Lock())
+        with lock:
+            mu = self._clouds.get(key)
+            if mu is None:
+                mu = sample_mu(spec, t, tol, cfg)
+                mu.samples.flags.writeable = False
+                self._clouds[key] = mu
+        return mu
+
     def engine(self, exp, heavy=False):
-        """Fresh engine per experiment (keeps concurrent runs independent)."""
+        """Fresh engine per experiment; Monte Carlo burn-ins are shared."""
         mc = {
             "cloud_size": int(exp.params.get("cloud", 4096 if heavy else 8192)),
             "n_inner": int(exp.params.get("inner", 96 if heavy else 192)),
             "n_outer": int(exp.params.get("outer", 1024 if heavy else 2048)),
+            "sample": self.sample_mu,
         }
         return engine_for(
             self.bundle,
@@ -270,7 +292,7 @@ def _run_invariance(ctx, exp):
         kw = {}
         if engine is not None:
             kw = {"mu_s": engine.measure(s), "mu_t": engine.measure(t)}
-        d = invariance_defect(obj, s, t, f, cfg=cfg, **kw)
+        d = invariance_defect(obj, s, t, f, cfg=cfg, sample=ctx.sample_mu, **kw)
         tol = max(3.0 * d.tolerance, 1e-9)
         rows.append(
             _row(
@@ -297,7 +319,7 @@ def _run_flow(ctx, exp):
     rows = []
     for r in rs:
         for k, f in enumerate(fns):
-            d = flow_derivative_defect(obj, f, r, h=h, cfg=cfg)
+            d = flow_derivative_defect(obj, f, r, h=h, cfg=cfg, sample=ctx.sample_mu)
             tol = max(100.0 * h * h, 4.0 * d.tolerance)
             rows.append(
                 _row(
@@ -605,7 +627,9 @@ def max_workers(n_tasks):
 def _run_one(ctx, decl):
     try:
         rows = tuple(_RUNNERS[decl.kind](ctx, decl))
-    except KolmolabError as exc:
+    except Exception as exc:
+        # one experiment's failure, expected (KolmolabError) or not (say, a
+        # bad parameter value), must not take the report or its siblings down
         return ExperimentReport(
             name=decl.name,
             kind=decl.kind,

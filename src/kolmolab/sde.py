@@ -28,7 +28,7 @@ chunking, or any parallel scheduling -- and reruns are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -86,11 +86,9 @@ class PathBundle:
 
     states: np.ndarray      # (n, d)
     jacobians: Optional[np.ndarray]  # (n, d, d) or None when skipped
-    stream_ids: np.ndarray  # (n,) uint64 path indices within the seed
     s: float
     t: float
     cfg: SimConfig
-    x0: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_paths(self):
@@ -139,15 +137,22 @@ def simulate(spec, s, t, x, cfg=None, with_jacobians=True):
 
     times = _time_grid(s, t, cfg.dt)
     hs = np.diff(times)
-    # sigma(t) = sqrt(2 Q(t)) is state-independent: precompute per step.
-    sig = np.stack([sqrtm_psd(2.0 * spec.diffusion(tk)) for tk in times[:-1]])
+    # sigma(t) = sqrt(2 Q(t)) is state-independent: precompute per step,
+    # taking a new square root only where Q changes from the previous step.
+    sig = np.empty((len(hs), d, d))
+    Q_prev = None
+    for k, tk in enumerate(times[:-1]):
+        Q = spec.diffusion(tk)
+        if Q_prev is None or not np.array_equal(Q, Q_prev):
+            root = sqrtm_psd(2.0 * Q)
+            Q_prev = Q.copy()
+        sig[k] = root
     sqrt_h = np.sqrt(hs)
     semi = cfg.scheme == "semi_implicit_drift"
     eye = np.eye(d)
 
     out_states = np.empty((n, d))
     out_jac = np.empty((n, d, d)) if with_jacobians else None
-    ids = np.arange(n, dtype=np.uint64)
 
     n_blocks = (n + BLOCK - 1) // BLOCK
     noise_chunk = 256
@@ -205,13 +210,7 @@ def simulate(spec, s, t, x, cfg=None, with_jacobians=True):
             out_jac[lo:hi] = J
 
     return PathBundle(
-        states=out_states,
-        jacobians=out_jac,
-        stream_ids=ids,
-        s=float(s),
-        t=float(t),
-        cfg=cfg,
-        x0=np.array(x, dtype=float),
+        states=out_states, jacobians=out_jac, s=float(s), t=float(t), cfg=cfg
     )
 
 

@@ -414,3 +414,15 @@ def test_check_gradients_flags_wrong_gradient():
     )
     xs = np.linspace(-2.0, 2.0, 21)[:, None]
     assert check_gradients(bad, xs) > 0.1
+
+
+@pytest.mark.parametrize("name", ["cubic_dissipative", "double_well_shifted"])
+def test_cubic_drift_matches_power_form(name):
+    from kolmolab import catalog
+
+    bundle = catalog.get(name)
+    p = bundle.params
+    x = np.linspace(-6.0, 6.0, 2001)[:, None]
+    y = x - p.get("center", 0.0)
+    ref = -p["lin"] * y - p["cub"] * y**3
+    assert np.allclose(bundle.spec.drift(0.0, x), ref, rtol=1e-15, atol=0.0)

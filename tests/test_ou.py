@@ -427,3 +427,24 @@ def test_sqrtm_psd_roundtrip(rng):
     S = sqrtm_psd(A)
     assert np.allclose(S, S.T, atol=1e-12)
     assert np.allclose(S @ S, A, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 40])
+def test_apply_G_chunking_matches_single_chunk(rng, n):
+    # d = 2 at order 64 puts 16 points in a chunk, so 33 and 40 points make
+    # several; each point must come out exactly as from one unchunked pass
+    from kolmolab import catalog
+    from kolmolab.ou import _mehler_moments
+
+    model = catalog.get("ou_periodic", dim=2).model
+    f = functions.tanh_ridge(np.array([0.6, -0.8]), 0.2)
+    t, s = 1.3, 0.2
+    xs = rng.normal(size=(n, 2))
+    M, m, C = _mehler_moments(model, t, s)
+    z, w = gauss_hermite_rule(2, 64)
+    pts = (xs @ M.T + m)[:, None, :] + math.sqrt(2.0) * (z @ sqrtm_psd(C).T)[None]
+    flat = pts.reshape(-1, 2)
+    ref_val = f.value(flat).reshape(n, -1) @ w
+    ref_grad = np.einsum("nkd,k->nd", f.gradient(flat).reshape(n, -1, 2), w) @ M
+    assert np.array_equal(ou_apply_G(model, t, s, f, xs), ref_val)
+    assert np.array_equal(ou_apply_grad_G(model, t, s, f, xs), ref_grad)

@@ -7,7 +7,8 @@ import pytest
 
 from kolmolab import catalog, functions, sde
 from kolmolab.errors import BlowUpError, DomainError
-from kolmolab.model import reflect_time
+from kolmolab.model import ProblemSpec, reflect_time
+from kolmolab.ou import sqrtm_psd
 
 
 # ----------------------------------------------------------------------
@@ -281,3 +282,38 @@ def test_mirrored_flow_equals_plain_flow_for_autonomous(cubic_bundle, fast_cfg):
         reflect_time(spec, 1.0), 0.0, 1.0, np.array([0.2]), fast_cfg, with_jacobians=False
     )
     assert np.array_equal(a.states, b.states)
+
+
+def test_time_dependent_noise_matches_per_step_square_roots(monkeypatch):
+    # Q(t) is piecewise constant, so simulate reuses sqrt(2 Q) across runs of
+    # equal steps; the reference below takes the square root on every step
+    def Q(t):
+        level = 1.0 + 0.5 * math.floor(8.0 * t)
+        return np.array([[level, 0.3], [0.3, 0.8 * level]])
+
+    spec = ProblemSpec(
+        dim=2,
+        interval_start=-math.inf,
+        Q=Q,
+        b=lambda t, x: -x,
+        jac_b=lambda t, x: np.broadcast_to(-np.eye(2), (x.shape[0], 2, 2)),
+        eta0=0.1,
+        Lambda=10.0,
+        r0=-1.0,
+    )
+    cfg = sde.SimConfig(dt=0.05, n_paths=40, seed=4)
+    roots = []
+    monkeypatch.setattr(
+        sde, "sqrtm_psd", lambda M: roots.append(M) or sqrtm_psd(M)
+    )
+    got = sde.simulate(spec, 0.0, 1.02, np.array([0.5, -0.2]), cfg, with_jacobians=False)
+
+    times = sde._time_grid(0.0, 1.02, cfg.dt)
+    assert len(roots) == 9 < len(times) - 1  # one per level of Q on [0, 1.02)
+    rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 0]))
+    Z = rng.standard_normal((len(times) - 1, sde.BLOCK, 2))[:, : cfg.n_paths, :]
+    X = np.tile([0.5, -0.2], (cfg.n_paths, 1))
+    for k, (tk, h) in enumerate(zip(times[:-1], np.diff(times))):
+        sig = sqrtm_psd(2.0 * spec.diffusion(tk))
+        X = X + h * spec.drift(tk, X) + (Z[k] @ sig.T) * np.sqrt(h)
+    assert np.array_equal(got.states, X)
