@@ -80,7 +80,6 @@ from .engines import (
     AnalyticOUEngine,
     MonteCarloEngine,
     engine_for,
-    mean_under_measure,
     lp_norm_measure,
     lp_norm_of_G,
     grad_lp_norm_of_G,
@@ -164,7 +163,6 @@ __all__ = [
     "AnalyticOUEngine",
     "MonteCarloEngine",
     "engine_for",
-    "mean_under_measure",
     "lp_norm_measure",
     "lp_norm_of_G",
     "grad_lp_norm_of_G",

@@ -3,16 +3,23 @@
 The inequality suites only need a tiny surface:
 
 * ``measure(t)``                       -- mu_t (Gaussian or empirical cloud),
+* ``outer_points(mu, order)``          -- (points, quadrature weights or None),
 * ``apply_G_at(s, t, f, xs)``          -- (values, variance of each value),
 * ``grad_G_at(s, t, f, xs)``           -- (gradients, variance per component),
 * declared constants ``eta0, Lambda, r0``.
+
+Both kinds of measure share one surface too: ``mu.rule(order)`` gives
+(points, weights) -- Gauss-Hermite nodes for a Gaussian, the samples and
+``None`` for a cloud -- and ``mu.expectation(f, order)`` gives
+(value, tolerance).
 
 ``AnalyticOUEngine`` evaluates everything by quadrature against the linear
 model; ``MonteCarloEngine`` propagates clouds with the path simulator, using
 ``n_inner`` replicate paths per evaluation point.  The L^p helpers below
 debias the inner-mean plug-in (the first-order Jensen correction in the
-inner variance) and report delta-method standard errors, so callers can
-treat both engines through the same (value, tolerance) contract.
+inner variance, zero for the analytic engine) and share one core: a
+quadrature sum with a fixed relative tolerance under weights, a sample mean
+with its delta-method standard error without them.
 """
 
 from __future__ import annotations
@@ -24,10 +31,9 @@ import numpy as np
 
 from . import sde
 from .errors import DomainError
-from .measures import EmpiricalMeasure, sample_mu
+from .measures import sample_mu
 from .model import reflect_time
 from .ou import (
-    GaussianMeasure,
     estimate_omega0,
     evolution_measure,
     ou_apply_G,
@@ -41,7 +47,7 @@ __all__ = [
     "lp_norm_measure",
     "lp_norm_of_G",
     "grad_lp_norm_of_G",
-    "mean_under_measure",
+    "rule_mean",
 ]
 
 
@@ -74,6 +80,9 @@ class AnalyticOUEngine:
                 self.model, t, tol=self.tol, omega_fit=self.omega_fit
             )
         return self._measures[key]
+
+    def outer_points(self, mu, order=64):
+        return mu.rule(order)
 
     def apply_G_at(self, s, t, f, xs):
         vals = ou_apply_G(self.model, t, s, f, xs, order=self.order)
@@ -108,7 +117,7 @@ class MonteCarloEngine:
         self.cloud_size = cloud_size
         self.n_inner = n_inner
         # Nested norm estimates subsample the measure cloud to this many
-        # outer points; the cloud is i.i.d. so a prefix is unbiased.
+        # outer points (see outer_points).
         self.n_outer = n_outer
         self.mu_tol = mu_tol
         # ``sample`` stands in for measures.sample_mu, e.g. a run-scoped memo
@@ -174,8 +183,10 @@ class MonteCarloEngine:
         var_means = per_path.var(axis=1, ddof=1) / self.n_inner
         return means, var_means
 
-    def outer_points(self, mu):
-        return mu.samples[: self.n_outer]
+    def outer_points(self, mu, order=None):
+        """The first n_outer cloud points, unweighted; the cloud is i.i.d.,
+        so a prefix is unbiased."""
+        return mu.samples[: self.n_outer], None
 
 
 def engine_for(bundle, cfg=None, tol=1e-8, order=64, kind=None, **mc_kwargs):
@@ -206,32 +217,39 @@ def engine_for(bundle, cfg=None, tol=1e-8, order=64, kind=None, **mc_kwargs):
 _QUAD_REL_TOL = 1e-6
 
 
-def mean_under_measure(mu, f, order=64):
-    """(mean, tolerance) of f under a Gaussian or empirical measure."""
-    if isinstance(mu, GaussianMeasure):
-        m = mu.expectation(f.value, order)
-        check = mu.expectation(f.value, max(8, order // 2))
-        return m, max(1e-12, abs(m - check))
-    return mu.expectation(f)
+def rule_mean(vals, w):
+    """(mean, standard error) of per-point values under a measure's rule.
+
+    Quadrature weights ``w`` give the weighted sum, with no sampling error;
+    an unweighted cloud (``w is None``) gives the sample mean."""
+    if w is not None:
+        return float(w @ vals), 0.0
+    return float(np.mean(vals)), float(
+        np.std(vals, ddof=1) / math.sqrt(vals.shape[0])
+    )
+
+
+def _lp_core(powers, w, p):
+    """(norm, tolerance) from per-point values of |g|^p under a rule.
+
+    A quadrature norm carries the fixed relative tolerance _QUAD_REL_TOL; a
+    cloud norm carries the delta-method standard error."""
+    mp, se = rule_mean(powers, w)
+    if w is not None:
+        norm = mp ** (1.0 / p)
+        return norm, _QUAD_REL_TOL * max(1.0, norm)
+    mp = max(mp, 1e-300)
+    norm = mp ** (1.0 / p)
+    return norm, norm / p * se / mp
 
 
 def lp_norm_measure(mu, f, p, order=64):
     """(||f||_{L^p(mu)}, tolerance)."""
     if p < 1.0:
         raise DomainError("p must be >= 1")
-    if isinstance(mu, GaussianMeasure):
-        pts, w = mu.quad_points(order)
-        vals = np.abs(np.asarray(f.value(pts), dtype=float))
-        mp = float(w @ vals**p)
-        norm = mp ** (1.0 / p)
-        return norm, _QUAD_REL_TOL * max(1.0, norm)
-    vals = np.abs(np.asarray(f.value(mu.samples), dtype=float))
-    mp_samples = vals**p
-    mp = float(np.mean(mp_samples))
-    se = float(np.std(mp_samples, ddof=1) / math.sqrt(vals.shape[0]))
-    norm = max(mp, 1e-300) ** (1.0 / p)
-    tol = norm / p * se / max(mp, 1e-300)
-    return norm, tol
+    pts, w = mu.rule(order)
+    vals = np.abs(np.asarray(f.value(pts), dtype=float))
+    return _lp_core(vals**p, w, p)
 
 
 def _debiased_power(means, var_means, p):
@@ -247,43 +265,15 @@ def lp_norm_of_G(engine, s, t, f, p, shift=0.0, order=64):
     """(||G(t,s) f - shift||_{L^p(mu_t)}, tolerance)."""
     if p < 1.0:
         raise DomainError("p must be >= 1")
-    mu_t = engine.measure(t)
-    if isinstance(mu_t, GaussianMeasure):
-        pts, w = mu_t.quad_points(order)
-        vals, _ = engine.apply_G_at(s, t, f, pts)
-        mp = float(w @ np.abs(vals - shift) ** p)
-        norm = mp ** (1.0 / p)
-        return norm, _QUAD_REL_TOL * max(1.0, norm)
-    xs = engine.outer_points(mu_t)
+    xs, w = engine.outer_points(engine.measure(t), order)
     means, var_means = engine.apply_G_at(s, t, f, xs)
-    contrib = _debiased_power(means - shift, var_means, p)
-    mp = float(np.mean(contrib))
-    se = float(np.std(contrib, ddof=1) / math.sqrt(contrib.shape[0]))
-    mp = max(mp, 1e-300)
-    norm = mp ** (1.0 / p)
-    tol = norm / p * se / mp
-    return norm, tol
+    return _lp_core(_debiased_power(means - shift, var_means, p), w, p)
 
 
 def grad_lp_norm_of_G(engine, s, t, f, p, order=64):
     """(|| |grad G(t,s) f| ||_{L^p(mu_t)}, tolerance)."""
-    mu_t = engine.measure(t)
-    if isinstance(mu_t, GaussianMeasure):
-        pts, w = mu_t.quad_points(order)
-        grads, _ = engine.grad_G_at(s, t, f, pts)
-        norms = np.linalg.norm(grads, axis=1)
-        mp = float(w @ norms**p)
-        norm = mp ** (1.0 / p)
-        return norm, _QUAD_REL_TOL * max(1.0, norm)
-    xs = engine.outer_points(mu_t)
+    xs, w = engine.outer_points(engine.measure(t), order)
     means, var_means = engine.grad_G_at(s, t, f, xs)
     # Debias |m_i|^2 by the summed component variances before taking p/2.
     sq = np.einsum("nd,nd->n", means, means) - var_means.sum(axis=1)
-    sq = np.clip(sq, 0.0, None)
-    contrib = sq ** (p / 2.0)
-    mp = float(np.mean(contrib))
-    se = float(np.std(contrib, ddof=1) / math.sqrt(contrib.shape[0]))
-    mp = max(mp, 1e-300)
-    norm = mp ** (1.0 / p)
-    tol = norm / p * se / mp
-    return norm, tol
+    return _lp_core(np.clip(sq, 0.0, None) ** (p / 2.0), w, p)

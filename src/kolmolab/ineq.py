@@ -38,11 +38,10 @@ from .engines import (
     lp_norm_measure,
     lp_norm_of_G,
     grad_lp_norm_of_G,
-    mean_under_measure,
+    rule_mean,
 )
 from .errors import ConstantFunctionError, DomainError
 from .measures import Defect
-from .ou import GaussianMeasure
 
 __all__ = [
     "lsi_deficit",
@@ -85,51 +84,30 @@ def lsi_deficit(mu, f, p, Lambda, r0, order=64):
     """Deficit (RHS - LHS) of the logarithmic Sobolev inequality at mu.
 
     Positive deficit means the inequality holds with room; the returned
-    tolerance is a quadrature-refinement gap (Gaussian mu) or a delta-method
-    standard error (empirical mu)."""
+    tolerance is a quadrature-refinement gap (a rule with weights, Gaussian
+    mu) or a delta-method standard error (an unweighted cloud)."""
     if p <= 1.0:
         raise DomainError("lsi needs p > 1")
     if r0 >= 0.0:
         raise DomainError("lsi constant needs r0 < 0")
     const = p * Lambda / (2.0 * abs(r0))
 
-    def compute(order_):
-        if isinstance(mu, GaussianMeasure):
-            pts, w = mu.quad_points(order_)
-            fvals = np.asarray(f.value(pts), dtype=float)
-            grads = np.asarray(f.gradient(pts), dtype=float)
-            entropy, dirichlet = _lsi_terms(fvals, grads, p)
-            mass = float(w @ np.abs(fvals) ** p)
-            e_val = float(w @ entropy)
-            d_val = float(w @ dirichlet)
-            return mass, e_val, d_val, 0.0, 0.0, 0.0
-        xs = mu.samples
-        n = xs.shape[0]
-        fvals = np.asarray(f.value(xs), dtype=float)
-        grads = np.asarray(f.gradient(xs), dtype=float)
+    def compute(pts, w):
+        """(mean, standard error) of |f|^p, entropy and Dirichlet terms."""
+        fvals = np.asarray(f.value(pts), dtype=float)
+        grads = np.asarray(f.gradient(pts), dtype=float)
         entropy, dirichlet = _lsi_terms(fvals, grads, p)
-        powers = np.abs(fvals) ** p
-        mass = float(np.mean(powers))
-        e_val = float(np.mean(entropy))
-        d_val = float(np.mean(dirichlet))
-        rt = math.sqrt(n)
-        return (
-            mass,
-            e_val,
-            d_val,
-            float(np.std(powers, ddof=1) / rt),
-            float(np.std(entropy, ddof=1) / rt),
-            float(np.std(dirichlet, ddof=1) / rt),
-        )
+        return [rule_mean(v, w) for v in (np.abs(fvals) ** p, entropy, dirichlet)]
 
-    mass, e_val, d_val, se_mass, se_e, se_d = compute(order)
+    pts, w = mu.rule(order)
+    (mass, se_mass), (e_val, se_e), (d_val, se_d) = compute(pts, w)
     if mass <= 0.0:
         # f vanishes mu-a.e.: both sides are zero by the 0 log 0 convention.
         return Defect(value=0.0, tolerance=0.0, lhs=0.0, rhs=0.0)
     rhs = (1.0 / p) * mass * math.log(mass) + const * d_val
     deficit = rhs - e_val
-    if isinstance(mu, GaussianMeasure):
-        mass2, e2, d2, *_ = compute(max(8, order // 2))
+    if w is not None:
+        (mass2, _), (e2, _), (d2, _) = compute(*mu.rule(max(8, order // 2)))
         rhs2 = (1.0 / p) * mass2 * math.log(mass2) + const * d2
         tol = max(1e-9, 2.0 * abs((rhs2 - e2) - deficit))
     else:
@@ -169,7 +147,7 @@ def poincare_quotient(mu, f, p=2, order=64):
     """||f - m(f)||_{L^p} / || |grad f| ||_{L^p} under mu.
 
     Refuses (mu-essentially) constant functions, whose quotient is 0/0."""
-    mean, _ = mean_under_measure(mu, f, order)
+    mean, _ = mu.expectation(f, order)
     num, tn = lp_norm_measure(mu, _Shifted(f, mean), p, order)
     den, td = lp_norm_measure(mu, _GradNorm(f), p, order)
     scale = 1.0 + abs(mean)
@@ -327,7 +305,7 @@ def decay_fit_A(engine, s, family, p, gaps, order=64):
     mu_s = engine.measure(s)
     shifts, dens = [], []
     for f in family:
-        m, _ = mean_under_measure(mu_s, f, order)
+        m, _ = mu_s.expectation(f, order)
         d, _ = lp_norm_measure(mu_s, f, p, order)
         if d <= _TINY:
             raise ConstantFunctionError("family member vanishes under mu_s")

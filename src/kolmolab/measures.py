@@ -26,14 +26,20 @@ from typing import Optional
 
 import numpy as np
 from scipy import special
-from scipy.integrate import simpson
 
 from . import sde
 from .errors import DomainError, HorizonError, UnboundedFunctionError
 from .functions import bounded_test_family
 from .io import atomic_write_text
 from .model import apply_generator, reflect_time
-from .ou import GaussianMeasure, OUModel, evolution_measure
+from .ou import (
+    _COMPACT_NODES,
+    GaussianMeasure,
+    OUModel,
+    _is_compactly_flat,
+    _simpson_gaussian,
+    evolution_measure,
+)
 
 __all__ = [
     "EmpiricalMeasure",
@@ -67,8 +73,13 @@ class EmpiricalMeasure:
     def n(self):
         return self.samples.shape[0]
 
-    def expectation(self, f):
-        """(mean, stderr) of f over the cloud."""
+    def rule(self, order=None):
+        """(points, weights) of the cloud: its samples, with no quadrature
+        weights (every point counts equally); ``order`` is unused."""
+        return self.samples, None
+
+    def expectation(self, f, order=None):
+        """(mean, stderr) of f over the cloud; ``order`` is unused."""
         vals = np.asarray(f.value(self.samples), dtype=float)
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(self.n)) if self.n > 1 else math.inf
@@ -131,70 +142,15 @@ def sample_mu(spec, t, tol=1e-3, cfg=None):
     )
 
 
-# Gauss-Hermite converges poorly for C^2 cut-off functions (the plateau
-# family): the error stalls near 1e-3 regardless of order.  Compactly flat
-# integrands are therefore integrated against the Gaussian density on their
-# support box by fixed-grid Simpson, which sees the full smoothness of the
-# density and is exact to ~1e-11 there.
-_COMPACT_NODES = {1: 4097, 2: 257, 3: 65}
-
-
-def _is_compactly_flat(f, dim):
-    meta = getattr(f, "meta", None)
-    return (
-        meta is not None
-        and meta.compact_support
-        and meta.support_radius is not None
-        and np.isfinite(meta.support_radius)
-        and dim in _COMPACT_NODES
-    )
-
-
-def _simpson_gaussian(mu, fn, R, n):
-    """int fn(x) pdf(x) dx over [-R, R]^dim; sound when fn vanishes outside
-    the centered R-ball."""
-    d = mu.dim
-    axis = np.linspace(-R, R, n)
-    if d == 1:
-        pts = axis[:, None]
-        vals = np.asarray(fn(pts), dtype=float) * mu.pdf(pts)
-        return float(simpson(vals, x=axis))
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    vals = (np.asarray(fn(pts), dtype=float) * mu.pdf(pts)).reshape((n,) * d)
-    for _ in range(d):
-        vals = simpson(vals, x=axis, axis=-1)
-    return float(vals)
-
-
-def _compact_gaussian_pair(mu, f):
-    """(mean, err) of a compactly flat f under a Gaussian measure."""
-    R = float(f.meta.support_radius)
-    c = float(f.meta.outside_value)
-
-    def centered(x):
-        return np.asarray(f.value(x), dtype=float) - c
-
-    n = _COMPACT_NODES[mu.dim]
-    full = c + _simpson_gaussian(mu, centered, R, n)
-    half = c + _simpson_gaussian(mu, centered, R, n // 2 + 1)
-    return full, max(1e-12, abs(full - half))
-
-
 def mean_functional(mu, f, certificate=None, order=64):
     """int f d mu.
 
-    Gaussian measures integrate by Gauss-Hermite quadrature (any polynomially
-    bounded f converges), except compactly flat functions, which go through
-    the Simpson rule on their support box.  Empirical measures refuse
-    unbounded f unless a Lyapunov certificate whose phi dominates |f| on the
-    cloud is supplied.
+    Gaussian measures integrate by quadrature (see
+    :meth:`GaussianMeasure.expectation`).  Sample clouds (rules without
+    quadrature weights) refuse unbounded f unless a Lyapunov certificate
+    whose phi dominates |f| on the cloud is supplied.
     """
-    if isinstance(mu, GaussianMeasure):
-        if _is_compactly_flat(f, mu.dim):
-            return _compact_gaussian_pair(mu, f)[0]
-        return mu.expectation(f.value if hasattr(f, "value") else f, order)
-    if not f.meta.bounded:
+    if not f.meta.bounded and mu.rule(order)[1] is None:
         if certificate is None:
             raise UnboundedFunctionError(
                 f"refusing unbounded integrand {f.meta.name!r} against an "
@@ -207,29 +163,22 @@ def mean_functional(mu, f, certificate=None, order=64):
             raise UnboundedFunctionError(
                 "certificate does not dominate the integrand on the cloud"
             )
-    mean, _ = mu.expectation(f)
-    return mean
-
-
-def _gaussian_mean_pair(mu, f, order):
-    if _is_compactly_flat(f, mu.dim):
-        return _compact_gaussian_pair(mu, f)
-    mean = mu.expectation(f.value, order)
-    check = mu.expectation(f.value, max(8, order // 2))
-    return mean, max(1e-12, abs(mean - check))
+    return mu.expectation(f, order)[0]
 
 
 def invariance_defect(
-    obj, s, t, f, cfg=None, mu_s=None, mu_t=None, order=64, sample=None
+    obj, s, t, fns, cfg=None, mu_s=None, mu_t=None, order=64, sample=None
 ):
-    """| int G(t,s) f d mu_t - int f d mu_s | with its tolerance.
+    """| int G(t,s) f d mu_t - int f d mu_s | with its tolerance, one
+    :class:`Defect` per function in ``fns``.
 
     For an :class:`OUModel` both sides are quadratures (outer Gauss-Hermite
     over mu_t of the kernel-evaluated G(t,s)f, and a plain quadrature of f
     under mu_s).  For a :class:`ProblemSpec` the left side propagates a
-    mu_t-distributed cloud from s to t (one path per sample) and the right
-    side averages f over an independent mu_s cloud.  Missing clouds come
-    from ``sample`` (default :func:`sample_mu`, same signature).
+    mu_t-distributed cloud from s to t (one path per sample, shared by all
+    functions) and the right side averages f over an independent mu_s
+    cloud.  Missing clouds come from ``sample`` (default :func:`sample_mu`,
+    same signature).
     """
     from .ou import ou_apply_G  # local import to keep module load light
 
@@ -239,15 +188,19 @@ def invariance_defect(
         model = obj
         mu_t = mu_t or evolution_measure(model, t)
         mu_s = mu_s or evolution_measure(model, s)
-        pts, w = mu_t.quad_points(order)
-        gvals = ou_apply_G(model, t, s, f, pts, order=order)
-        lhs = float(w @ gvals)
-        rhs, rhs_err = _gaussian_mean_pair(mu_s, f, order)
-        lhs_check = float(
-            w @ ou_apply_G(model, t, s, f, pts, order=max(8, order // 2))
-        )
-        tol = max(1e-9, abs(lhs - lhs_check)) + rhs_err
-        return Defect(value=abs(lhs - rhs), tolerance=tol, lhs=lhs, rhs=rhs)
+        pts, w = mu_t.rule(order)
+        defects = []
+        for f in fns:
+            lhs = float(w @ ou_apply_G(model, t, s, f, pts, order=order))
+            rhs, rhs_err = mu_s.expectation(f, order)
+            lhs_check = float(
+                w @ ou_apply_G(model, t, s, f, pts, order=max(8, order // 2))
+            )
+            tol = max(1e-9, abs(lhs - lhs_check)) + rhs_err
+            defects.append(
+                Defect(value=abs(lhs - rhs), tolerance=tol, lhs=lhs, rhs=rhs)
+            )
+        return defects
 
     spec = obj
     cfg = cfg or sde.SimConfig()
@@ -261,21 +214,25 @@ def invariance_defect(
         reflect_time(spec, s + t), s, t, mu_t.samples, seed_shift,
         with_jacobians=False,
     )
-    vals = np.asarray(f.value(bundle.states), dtype=float)
-    lhs = float(np.mean(vals))
-    se_l = float(np.std(vals, ddof=1) / math.sqrt(vals.shape[0]))
     if mu_s is None:
         cfg_s = sde.SimConfig(
             dt=cfg.dt, n_paths=cfg.n_paths, seed=cfg.seed + 7919, scheme=cfg.scheme
         )
         mu_s = sample(spec, s, cfg=cfg_s)
-    rhs, se_r = mu_s.expectation(f)
-    return Defect(
-        value=abs(lhs - rhs),
-        tolerance=math.hypot(se_l, se_r),
-        lhs=lhs,
-        rhs=rhs,
-    )
+    pushed = EmpiricalMeasure(samples=bundle.states)
+    defects = []
+    for f in fns:
+        lhs, se_l = pushed.expectation(f)
+        rhs, se_r = mu_s.expectation(f)
+        defects.append(
+            Defect(
+                value=abs(lhs - rhs),
+                tolerance=math.hypot(se_l, se_r),
+                lhs=lhs,
+                rhs=rhs,
+            )
+        )
+    return defects
 
 
 def tightness_profile(mu, radii):
@@ -315,7 +272,7 @@ def _ou_generator_mean(model, r, f, mu, order):
     if _is_compactly_flat(f, mu.dim):
         n = _COMPACT_NODES[mu.dim]
         return _simpson_gaussian(mu, gen_vals, float(f.meta.support_radius), n)
-    pts, w = mu.quad_points(order)
+    pts, w = mu.rule(order)
     return float(w @ gen_vals(pts))
 
 
@@ -341,8 +298,8 @@ def flow_derivative_defect(
         mu_p = evolution_measure(model, r + h)
         mu_m = evolution_measure(model, r - h)
         mu_0 = evolution_measure(model, r)
-        m_p, e_p = _gaussian_mean_pair(mu_p, f, order)
-        m_m, e_m = _gaussian_mean_pair(mu_m, f, order)
+        m_p, e_p = mu_p.expectation(f, order)
+        m_m, e_m = mu_m.expectation(f, order)
         gen = _ou_generator_mean(model, r, f, mu_0, order)
         diff = (m_p - m_m) / (2.0 * h)
         tol = (e_p + e_m) / (2.0 * h) + 1e-9
@@ -401,12 +358,6 @@ class GapReport:
     cov_gap: Optional[float] = None
 
 
-def _mean_with_err(mu, f, order):
-    if isinstance(mu, GaussianMeasure):
-        return _gaussian_mean_pair(mu, f, order)
-    return mu.expectation(f)
-
-
 def weak_star_gap(mu1, mu2, family=None, order=64):
     """max_f |m(f; mu1) - m(f; mu2)| over a fixed bounded C^2 family.
 
@@ -418,8 +369,8 @@ def weak_star_gap(mu1, mu2, family=None, order=64):
     gaps = []
     tols = []
     for f in family:
-        m1, e1 = _mean_with_err(mu1, f, order)
-        m2, e2 = _mean_with_err(mu2, f, order)
+        m1, e1 = mu1.expectation(f, order)
+        m2, e2 = mu2.expectation(f, order)
         gaps.append(abs(m1 - m2))
         tols.append(math.hypot(e1, e2))
     mean_gap = cov_gap = None

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import functions as fb
 from ._version import __version__
-from .engines import engine_for, mean_under_measure
+from .engines import engine_for
 from .errors import CertificateUnavailableError, ScenarioError
 from .ineq import (
     ExperimentRow,
@@ -252,7 +252,7 @@ def _run_measure(ctx, exp):
         outside = tightness_profile(mu, radii)
         for R, frac in zip(radii, outside):
             rows.append(_info(ctx, f"tightness_outside[R={R:g}]", frac, t=t))
-        mean, _ = mean_under_measure(mu, fb.coordinate(0, ctx.dim))
+        mean, _ = mu.expectation(fb.coordinate(0, ctx.dim))
         rows.append(_info(ctx, "measure_mean_x1", mean, t=t))
         if prev is not None:
             gap = weak_star_gap(prev, mu)
@@ -284,15 +284,22 @@ def _run_invariance(ctx, exp):
     analytic = ctx.model is not None and ctx.scn.kind != "general"
     obj = ctx.model if analytic else ctx.spec
     engine = ctx.engine(exp) if analytic else None
-    rows = []
-    for k in range(n_cases):
-        f = fns[k % len(fns)]
-        span = spans[k % len(spans)]
-        s, t = s0, s0 + span
+    cases = [(fns[k % len(fns)], spans[k % len(spans)]) for k in range(n_cases)]
+    # one call per distinct span: cases that share it share the push-forward
+    defects = {}
+    for span in dict.fromkeys(span for _, span in cases):
+        ks = [k for k, (_, sp) in enumerate(cases) if sp == span]
+        t = s0 + span
         kw = {}
         if engine is not None:
-            kw = {"mu_s": engine.measure(s), "mu_t": engine.measure(t)}
-        d = invariance_defect(obj, s, t, f, cfg=cfg, sample=ctx.sample_mu, **kw)
+            kw = {"mu_s": engine.measure(s0), "mu_t": engine.measure(t)}
+        ds = invariance_defect(
+            obj, s0, t, [cases[k][0] for k in ks], cfg=cfg, sample=ctx.sample_mu, **kw
+        )
+        defects.update(zip(ks, ds))
+    rows = []
+    for k, (f, span) in enumerate(cases):
+        d = defects[k]
         tol = max(3.0 * d.tolerance, 1e-9)
         rows.append(
             _row(
@@ -301,8 +308,8 @@ def _run_invariance(ctx, exp):
                 d.value,
                 tol,
                 d.value <= tol,
-                s=s,
-                t=t,
+                s=s0,
+                t=s0 + span,
             )
         )
     return rows

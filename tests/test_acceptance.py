@@ -166,7 +166,7 @@ def test_03_invariance_identity(
     for model in (ou_const_bundle.model, ou_periodic_bundle.model):
         for k, f in enumerate(fam):
             s, t = pairs[k % len(pairs)]
-            d = measures.invariance_defect(model, s, t, f)
+            d, = measures.invariance_defect(model, s, t, [f])
             worst_ou = max(worst_ou, abs(d.value))
     ok_ou = worst_ou <= 1e-6
 
@@ -176,8 +176,8 @@ def test_03_invariance_identity(
         mu_s = measures.sample_mu(cubic_spec, s, 1e-3, cfg)
         mu_t = measures.sample_mu(cubic_spec, t, 1e-3, cfg)
         for f in fam[5 * j : 5 * j + 5]:
-            d = measures.invariance_defect(
-                cubic_spec, s, t, f, cfg=cfg, mu_s=mu_s, mu_t=mu_t
+            d, = measures.invariance_defect(
+                cubic_spec, s, t, [f], cfg=cfg, mu_s=mu_s, mu_t=mu_t
             )
             worst_z = max(worst_z, abs(d.value) / d.tolerance)
     ok_mc = worst_z <= 3.0

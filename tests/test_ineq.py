@@ -145,6 +145,32 @@ def test_poincare_respects_spectral_bound(ou_const_engine):
         assert res.quotient <= bound * (1.0 + 1e-2)
 
 
+def test_compactly_flat_means_match_adaptive_quadrature(ou_const_engine):
+    # Gauss-Hermite stalls near 1e-3 on C^2 cut-offs; the one mean path of a
+    # Gaussian integrates them by Simpson on the support box, and Poincare
+    # quotients centre with that mean
+    from scipy.integrate import quad
+
+    from kolmolab.engines import lp_norm_measure
+
+    mu = ou_const_engine.measure(1.0)
+    flat = [f for f in functions.bounded_test_family(1) if f.meta.compact_support]
+    assert len(flat) == 4
+    for f in flat:
+        R = f.meta.support_radius
+        ref, _ = quad(
+            lambda x: f.value(np.array([[x]]))[0] * mu.pdf(np.array([x])),
+            -R, R, epsabs=1e-14, epsrel=1e-13, limit=400,
+        )
+        mean, tol = mu.expectation(f)
+        assert abs(mean - ref) <= 1e-9, f.meta.name
+        assert tol <= 1e-9
+        res = poincare_quotient(mu, f, p=4)
+        centred = functions.combine([1.0], [f], const=-ref)
+        num, _ = lp_norm_measure(mu, centred, 4)
+        assert res.numerator == pytest.approx(num, abs=1e-9), f.meta.name
+
+
 # ----------------------------------------------------------------------
 # hypercontractivity
 # ----------------------------------------------------------------------

@@ -159,53 +159,79 @@ def test_tightness_2d_gaussian():
 
 def test_invariance_constant_function(ou_const_bundle):
     one = functions.constant(1.0, dim=1)
-    d = measures.invariance_defect(ou_const_bundle.model, 0.0, 1.0, one)
+    d, = measures.invariance_defect(ou_const_bundle.model, 0.0, 1.0, [one])
     assert d.value <= 1e-12
 
 
 def test_invariance_quadratic_exact(ou_const_bundle, ou_periodic_bundle):
     x2 = functions.quadratic(np.array([[1.0]]))
-    d = measures.invariance_defect(ou_const_bundle.model, 0.0, 1.0, x2)
+    d, = measures.invariance_defect(ou_const_bundle.model, 0.0, 1.0, [x2])
     # both sides are the second moment of the N(0,1) member of the family,
     # known only up to the measure-construction tolerance 1e-8
     assert d.lhs == pytest.approx(1.0, abs=2e-8)
     assert d.rhs == pytest.approx(1.0, abs=2e-8)
     assert d.value <= 1e-6
 
-    d2 = measures.invariance_defect(ou_periodic_bundle.model, 0.4, 1.7, x2)
+    d2, = measures.invariance_defect(ou_periodic_bundle.model, 0.4, 1.7, [x2])
     assert d2.value <= 1e-6
 
 
 def test_invariance_smooth_battery(ou_periodic_bundle):
     model = ou_periodic_bundle.model
     for f in functions.bounded_test_family(1)[4:8]:
-        d = measures.invariance_defect(model, 0.25, 1.25, f)
+        d, = measures.invariance_defect(model, 0.25, 1.25, [f])
         assert d.value <= max(3.0 * d.tolerance, 1e-6)
 
 
 def test_invariance_rejects_bad_times(ou_const_bundle):
     one = functions.constant(1.0, dim=1)
     with pytest.raises(DomainError):
-        measures.invariance_defect(ou_const_bundle.model, 1.0, 1.0, one)
+        measures.invariance_defect(ou_const_bundle.model, 1.0, 1.0, [one])
 
 
 def test_invariance_monte_carlo(cubic_bundle):
     spec = cubic_bundle.spec
     cfg = sde.SimConfig(dt=2e-3, n_paths=8000, seed=17)
     f = functions.tanh_ridge(np.array([1.0]), 0.1)
-    d = measures.invariance_defect(spec, 0.0, 1.0, f, cfg=cfg)
+    d, = measures.invariance_defect(spec, 0.0, 1.0, [f], cfg=cfg)
     assert d.value <= 3.5 * d.tolerance
     one = functions.constant(2.0, dim=1)
-    d1 = measures.invariance_defect(spec, 0.0, 1.0, one, cfg=cfg)
+    d1, = measures.invariance_defect(spec, 0.0, 1.0, [one], cfg=cfg)
     assert d1.value <= 1e-12
+
+
+def test_invariance_shares_one_push_forward(cubic_bundle, monkeypatch):
+    # functions of one call share the pushed cloud, and each gets the
+    # defect a call of its own would give
+    spec = cubic_bundle.spec
+    cfg = sde.SimConfig(dt=2e-2, n_paths=512, seed=23)
+    mu_s = measures.sample_mu(spec, 0.0, cfg=cfg)
+    mu_t = measures.sample_mu(spec, 0.5, cfg=cfg)
+    fns = functions.bounded_test_family(1)[4:7]
+    calls = []
+    real = sde.simulate
+    monkeypatch.setattr(
+        sde, "simulate", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    together = measures.invariance_defect(
+        spec, 0.0, 0.5, fns, cfg=cfg, mu_s=mu_s, mu_t=mu_t
+    )
+    assert len(calls) == 1
+    alone = [
+        measures.invariance_defect(
+            spec, 0.0, 0.5, [f], cfg=cfg, mu_s=mu_s, mu_t=mu_t
+        )[0]
+        for f in fns
+    ]
+    assert together == alone
 
 
 def test_invariance_reuses_supplied_measures(ou_const_bundle):
     model = ou_const_bundle.model
     mu = evolution_measure(model, 0.0)
     x2 = functions.quadratic(np.array([[1.0]]))
-    d = measures.invariance_defect(
-        model, 0.0, 2.0, x2,
+    d, = measures.invariance_defect(
+        model, 0.0, 2.0, [x2],
         mu_s=mu,
         mu_t=GaussianMeasure(mean=mu.mean, cov=mu.cov, t=2.0),
     )

@@ -71,6 +71,24 @@ def test_burn_in_runs_once_per_distinct_key(monkeypatch):
     assert len(calls) == len(set(calls)) == 4
 
 
+def test_invariance_pushes_forward_once_per_span(monkeypatch):
+    calls = []
+    real = runner.invariance_defect
+
+    def defect(obj, s, t, fns, **kw):
+        calls.append((s, t, len(fns)))
+        return real(obj, s, t, fns, **kw)
+
+    monkeypatch.setattr(runner, "invariance_defect", defect)
+    ctx = tiny_context()
+    exp = next(e for e in ctx.scn.experiments if e.kind == "invariance")
+    rows = runner._run_invariance(ctx, exp)
+    assert calls == [(0.0, 0.5, 2), (0.0, 1.0, 2)]
+    # rows keep the declared case order: spans alternate
+    assert [r.t for r in rows] == [0.5, 1.0, 0.5, 1.0]
+    assert [r.verdict for r in rows] == ["pass"] * 4
+
+
 def test_reports_do_not_depend_on_worker_count(tmp_path, monkeypatch):
     outputs = {}
     for threads in ("1", "4"):
