@@ -6,6 +6,7 @@ The inequality suites only need a tiny surface:
 * ``outer_points(mu, order)``          -- (points, quadrature weights or None),
 * ``apply_G_at(s, t, f, xs)``          -- (values, variance of each value),
 * ``grad_G_at(s, t, f, xs)``           -- (gradients, variance per component),
+* ``memo``                             -- a :class:`~kolmolab.memo.Memo`,
 * declared constants ``eta0, Lambda, r0``.
 
 Both kinds of measure share one surface too: ``mu.rule(order)`` gives
@@ -15,11 +16,14 @@ Both kinds of measure share one surface too: ``mu.rule(order)`` gives
 
 ``AnalyticOUEngine`` evaluates everything by quadrature against the linear
 model; ``MonteCarloEngine`` propagates clouds with the path simulator, using
-``n_inner`` replicate paths per evaluation point.  The L^p helpers below
-debias the inner-mean plug-in (the first-order Jensen correction in the
-inner variance, zero for the analytic engine) and share one core: a
-quadrature sum with a fixed relative tolerance under weights, a sample mean
-with its delta-method standard error without them.
+``n_inner`` replicate paths per evaluation point.  Through its memo (a
+run's, when given one) the analytic engine computes its omega fit, measures
+and kernel moments once per key, and the L^p helpers below compute G(t, s)f
+and its gradient at an engine's outer points once per (s, t, f, order).
+The helpers debias the inner-mean plug-in (the first-order Jensen
+correction in the inner variance, zero for the analytic engine) and share
+one core: a quadrature sum with a fixed relative tolerance under weights, a
+sample mean with its delta-method standard error without them.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import numpy as np
 from . import sde
 from .errors import DomainError
 from .measures import sample_mu
+from .memo import Memo
 from .model import reflect_time
 from .ou import (
     estimate_omega0,
@@ -56,7 +61,9 @@ class AnalyticOUEngine:
 
     kind = "analytic"
 
-    def __init__(self, model, eta0=None, Lambda=None, r0=None, tol=1e-8, order=64):
+    def __init__(
+        self, model, eta0=None, Lambda=None, r0=None, tol=1e-8, order=64, memo=None
+    ):
         self.model = model
         lo, hi = model.ellipticity()
         self.eta0 = eta0 if eta0 is not None else lo
@@ -64,33 +71,36 @@ class AnalyticOUEngine:
         self.r0 = r0 if r0 is not None else model.dissipativity_rate()
         self.tol = tol
         self.order = order
-        self._omega = None
+        self.memo = Memo() if memo is None else memo
+        # mu_t handed out so far, by time to 12 digits (perfbench's tracer
+        # reads it to count first requests)
         self._measures = {}
 
     @property
     def omega_fit(self):
-        if self._omega is None:
-            self._omega = estimate_omega0(self.model)
-        return self._omega
+        return self.memo("omega", estimate_omega0, self.model)
 
     def measure(self, t):
-        key = round(float(t), 12)
-        if key not in self._measures:
-            self._measures[key] = evolution_measure(
-                self.model, t, tol=self.tol, omega_fit=self.omega_fit
-            )
-        return self._measures[key]
+        t = float(t)
+        mu = self.memo("measures", self._evolution_measure, t)
+        self._measures[round(t, 12)] = mu
+        return mu
+
+    def _evolution_measure(self, t):
+        return evolution_measure(self.model, t, self.tol, self.omega_fit)
 
     def outer_points(self, mu, order=64):
         return mu.rule(order)
 
     def apply_G_at(self, s, t, f, xs):
-        vals = ou_apply_G(self.model, t, s, f, xs, order=self.order)
+        vals = ou_apply_G(self.model, t, s, f, xs, order=self.order, memo=self.memo)
         vals = np.atleast_1d(np.asarray(vals, dtype=float))
         return vals, np.zeros_like(vals)
 
     def grad_G_at(self, s, t, f, xs):
-        grads = ou_apply_grad_G(self.model, t, s, f, xs, order=self.order)
+        grads = ou_apply_grad_G(
+            self.model, t, s, f, xs, order=self.order, memo=self.memo
+        )
         grads = np.atleast_2d(np.asarray(grads, dtype=float))
         return grads, np.zeros_like(grads)
 
@@ -109,6 +119,7 @@ class MonteCarloEngine:
         n_outer=2048,
         mu_tol=1e-3,
         sample=None,
+        memo=None,
     ):
         if spec.r0 >= 0.0:
             raise DomainError("Monte Carlo engine needs a dissipative spec (r0 < 0)")
@@ -122,6 +133,7 @@ class MonteCarloEngine:
         self.mu_tol = mu_tol
         # ``sample`` stands in for measures.sample_mu, e.g. a run-scoped memo
         self.sample = sample
+        self.memo = Memo() if memo is None else memo
         self.eta0 = spec.eta0
         self.Lambda = spec.Lambda
         self.r0 = spec.r0
@@ -189,12 +201,16 @@ class MonteCarloEngine:
         return mu.samples[: self.n_outer], None
 
 
-def engine_for(bundle, cfg=None, tol=1e-8, order=64, kind=None, **mc_kwargs):
+def engine_for(
+    bundle, cfg=None, tol=1e-8, order=64, kind=None, memo=None, **mc_kwargs
+):
     """Pick the analytic engine when the bundle has a linear model.
 
     ``kind`` forces the choice: "ou" insists on the analytic engine (and
     raises when the bundle has no linear model), "general" forces Monte
     Carlo even when a closed form exists (useful for cross-validation).
+    The analytic engine ignores ``cfg`` and ``mc_kwargs``.  ``memo`` is
+    shared by the engine (default: a memo of its own).
     """
     if kind not in (None, "ou", "general"):
         raise DomainError(f"engine kind must be 'ou' or 'general', got {kind!r}")
@@ -210,8 +226,9 @@ def engine_for(bundle, cfg=None, tol=1e-8, order=64, kind=None, **mc_kwargs):
             r0=bundle.spec.r0,
             tol=tol,
             order=order,
+            memo=memo,
         )
-    return MonteCarloEngine(bundle.spec, cfg=cfg, **mc_kwargs)
+    return MonteCarloEngine(bundle.spec, cfg=cfg, memo=memo, **mc_kwargs)
 
 
 _QUAD_REL_TOL = 1e-6
@@ -261,19 +278,33 @@ def _debiased_power(means, var_means, p):
     return base - corr
 
 
+def _G_at_outer_points(engine, grad, s, t, f, order):
+    """(weights, means, variances) of G(t,s)f -- or of its gradient, when
+    ``grad`` -- at the engine's outer points of mu_t.
+
+    Callers go through ``engine.memo``, which is exact for both engines:
+    the analytic values are deterministic, and the Monte Carlo replicates
+    are seeded by (s, t) alone."""
+    xs, w = engine.outer_points(engine.measure(t), order)
+    apply = engine.grad_G_at if grad else engine.apply_G_at
+    return (w, *apply(s, t, f, xs))
+
+
 def lp_norm_of_G(engine, s, t, f, p, shift=0.0, order=64):
     """(||G(t,s) f - shift||_{L^p(mu_t)}, tolerance)."""
     if p < 1.0:
         raise DomainError("p must be >= 1")
-    xs, w = engine.outer_points(engine.measure(t), order)
-    means, var_means = engine.apply_G_at(s, t, f, xs)
+    w, means, var_means = engine.memo(
+        "G", _G_at_outer_points, engine, False, s, t, f, order
+    )
     return _lp_core(_debiased_power(means - shift, var_means, p), w, p)
 
 
 def grad_lp_norm_of_G(engine, s, t, f, p, order=64):
     """(|| |grad G(t,s) f| ||_{L^p(mu_t)}, tolerance)."""
-    xs, w = engine.outer_points(engine.measure(t), order)
-    means, var_means = engine.grad_G_at(s, t, f, xs)
+    w, means, var_means = engine.memo(
+        "G", _G_at_outer_points, engine, True, s, t, f, order
+    )
     # Debias |m_i|^2 by the summed component variances before taking p/2.
     sq = np.einsum("nd,nd->n", means, means) - var_means.sum(axis=1)
     return _lp_core(np.clip(sq, 0.0, None) ** (p / 2.0), w, p)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import io as _stdio
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -31,6 +32,7 @@ from . import sde
 from .errors import DomainError, HorizonError, UnboundedFunctionError
 from .functions import bounded_test_family
 from .io import atomic_write_text
+from .memo import fresh
 from .model import apply_generator, reflect_time
 from .ou import (
     _COMPACT_NODES,
@@ -167,18 +169,20 @@ def mean_functional(mu, f, certificate=None, order=64):
 
 
 def invariance_defect(
-    obj, s, t, fns, cfg=None, mu_s=None, mu_t=None, order=64, sample=None
+    obj, s, t, fns, cfg=None, mu_s=None, mu_t=None, order=64, sample=None,
+    memo=fresh,
 ):
     """| int G(t,s) f d mu_t - int f d mu_s | with its tolerance, one
     :class:`Defect` per function in ``fns``.
 
     For an :class:`OUModel` both sides are quadratures (outer Gauss-Hermite
     over mu_t of the kernel-evaluated G(t,s)f, and a plain quadrature of f
-    under mu_s).  For a :class:`ProblemSpec` the left side propagates a
-    mu_t-distributed cloud from s to t (one path per sample, shared by all
-    functions) and the right side averages f over an independent mu_s
-    cloud.  Missing clouds come from ``sample`` (default :func:`sample_mu`,
-    same signature).
+    under mu_s); the kernel moments come from ``memo`` (see
+    :func:`kolmolab.ou.ou_apply_G`).  For a :class:`ProblemSpec` the left
+    side propagates a mu_t-distributed cloud from s to t (one path per
+    sample, shared by all functions) and the right side averages f over an
+    independent mu_s cloud.  Missing clouds come from ``sample`` (default
+    :func:`sample_mu`, same signature).
     """
     from .ou import ou_apply_G  # local import to keep module load light
 
@@ -191,10 +195,10 @@ def invariance_defect(
         pts, w = mu_t.rule(order)
         defects = []
         for f in fns:
-            lhs = float(w @ ou_apply_G(model, t, s, f, pts, order=order))
+            lhs = float(w @ ou_apply_G(model, t, s, f, pts, order, memo))
             rhs, rhs_err = mu_s.expectation(f, order)
             lhs_check = float(
-                w @ ou_apply_G(model, t, s, f, pts, order=max(8, order // 2))
+                w @ ou_apply_G(model, t, s, f, pts, max(8, order // 2), memo)
             )
             tol = max(1e-9, abs(lhs - lhs_check)) + rhs_err
             defects.append(
@@ -277,13 +281,16 @@ def _ou_generator_mean(model, r, f, mu, order):
 
 
 def flow_derivative_defect(
-    obj, f, r, h=1e-2, cfg=None, mu_tol=1e-3, order=64, sample=None
+    obj, f, r, h=1e-2, cfg=None, mu_tol=1e-3, order=64, sample=None, measure=None
 ):
     """Defect of d/dr m_r(f) = -m_r(A(r) f) via a central difference.
 
     Only admits functions that are constant outside a compact set (the
-    identity is proved for that class); others are refused.  The Monte
-    Carlo mu_r cloud comes from ``sample`` (default :func:`sample_mu`).
+    identity is proved for that class); others are refused.  For an
+    :class:`OUModel` the Gaussians mu_{r-h}, mu_r and mu_{r+h} come from
+    ``measure(t)`` (default :func:`evolution_measure`), e.g. an engine's
+    ``measure``; the Monte Carlo mu_r cloud comes from ``sample`` (default
+    :func:`sample_mu`).
     """
     if not f.meta.compact_support:
         raise DomainError(
@@ -295,9 +302,10 @@ def flow_derivative_defect(
 
     if isinstance(obj, OUModel):
         model = obj
-        mu_p = evolution_measure(model, r + h)
-        mu_m = evolution_measure(model, r - h)
-        mu_0 = evolution_measure(model, r)
+        measure = measure or partial(evolution_measure, model)
+        mu_p = measure(r + h)
+        mu_m = measure(r - h)
+        mu_0 = measure(r)
         m_p, e_p = mu_p.expectation(f, order)
         m_m, e_m = mu_m.expectation(f, order)
         gen = _ou_generator_mean(model, r, f, mu_0, order)

@@ -62,6 +62,7 @@ from .errors import (
     NoEvolutionMeasureError,
     StiffnessError,
 )
+from .memo import fresh
 from .model import ProblemSpec, as_batch
 
 __all__ = [
@@ -151,10 +152,15 @@ class GaussianMeasure:
     t: Optional[float] = None
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        # The measure owns read-only copies: one mu_t serves every
+        # experiment of a run, so none of them may write into it.
+        mean = np.array(self.mean, dtype=float, ndmin=1)
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        cov = 0.5 * (cov + cov.T)
+        mean.flags.writeable = False
+        cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
+        object.__setattr__(self, "cov", cov)
         if cov.shape != (mean.shape[0], mean.shape[0]):
             raise DomainError(
                 f"covariance shape {cov.shape} does not match mean {mean.shape}"
@@ -487,10 +493,11 @@ def _mehler_moments(model, t, s, rtol=1e-10):
 _CHUNK_VALUES = 1 << 17
 
 
-def _kernel_offsets(model, t, s, order):
+def _kernel_offsets(model, t, s, order, memo):
     """(M, m, offsets, w): kernel moments and the node offsets sqrt(2) L z,
-    so that (G(t, s) f)(x) = sum_k w_k f(M x + m + offsets_k)."""
-    M, m, C = _mehler_moments(model, t, s)
+    so that (G(t, s) f)(x) = sum_k w_k f(M x + m + offsets_k).  Rules of
+    every order share the moments through ``memo``."""
+    M, m, C = memo("kernels", _mehler_moments, model, t, s)
     z, w = gauss_hermite_rule(model.dim, order)
     offsets = math.sqrt(2.0) * (z @ sqrtm_psd(C).T)
     return M, m, offsets, w
@@ -511,11 +518,12 @@ def _point_chunks(n, offsets):
         i0 = i1
 
 
-def ou_apply_G(model, t, s, f, x, order=64):
+def ou_apply_G(model, t, s, f, x, order=64, memo=fresh):
     """(G(t, s) f)(x) through the Gaussian kernel representation.
 
     ``x`` may be a point (d,) or a batch (n, d).  Requires t >= s;
-    ``t == s`` returns f(x) exactly.
+    ``t == s`` returns f(x) exactly.  The kernel comes from ``memo`` (see
+    :mod:`kolmolab.memo`), e.g. a run's memo; the default computes it.
     """
     if t < s:
         raise DomainError(f"need t >= s, got t={t} < s={s}")
@@ -523,7 +531,7 @@ def ou_apply_G(model, t, s, f, x, order=64):
     if t == s:
         vals = np.asarray(f.value(xb), dtype=float).reshape(xb.shape[0])
         return vals[0] if single else vals
-    M, m, offsets, w = _kernel_offsets(model, t, s, order)
+    M, m, offsets, w = memo("kernels", _kernel_offsets, model, t, s, order, memo)
     centers = xb @ M.T + m  # (n, d)
     out = np.empty(xb.shape[0])
     for chunk in _point_chunks(xb.shape[0], offsets):
@@ -533,7 +541,7 @@ def ou_apply_G(model, t, s, f, x, order=64):
     return out[0] if single else out
 
 
-def ou_apply_grad_G(model, t, s, f, x, order=64):
+def ou_apply_grad_G(model, t, s, f, x, order=64, memo=fresh):
     """grad_x (G(t, s) f)(x) = M^T E[grad f(M x + m + Z)], M = U(s, t)."""
     if t < s:
         raise DomainError(f"need t >= s, got t={t} < s={s}")
@@ -541,7 +549,7 @@ def ou_apply_grad_G(model, t, s, f, x, order=64):
     if t == s:
         g = np.asarray(f.gradient(xb), dtype=float).reshape(xb.shape)
         return g[0] if single else g
-    M, m, offsets, w = _kernel_offsets(model, t, s, order)
+    M, m, offsets, w = memo("kernels", _kernel_offsets, model, t, s, order, memo)
     centers = xb @ M.T + m
     acc = np.empty_like(xb)
     for chunk in _point_chunks(xb.shape[0], offsets):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -46,6 +45,7 @@ from .ineq import (
     rate_agreement,
 )
 from .io import atomic_write_text
+from .memo import Memo
 from .measures import (
     export_measure_csv,
     export_measure_json,
@@ -72,15 +72,23 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class RunContext:
+    """What the experiments of one run share: the scenario, its bundle, the
+    simulation config, and one :class:`~kolmolab.memo.Memo` through which
+    every deterministic ingredient of G(t, s) is computed once."""
+
     scn: object
     bundle: object
     cfg: SimConfig
-    # burn-in clouds of this run, one lock per key (experiments run on threads)
-    _clouds: dict = field(default_factory=dict, init=False, repr=False)
-    _locks: dict = field(default_factory=dict, init=False, repr=False)
-    _locks_guard: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False
-    )
+    memo: Memo = field(default_factory=Memo, init=False, repr=False)
+
+    def __post_init__(self):
+        # engine_for ignores the Monte Carlo arguments for an analytic
+        # bundle, so one analytic engine serves every experiment
+        self._analytic_engine = None
+        if self.analytic:
+            self._analytic_engine = engine_for(
+                self.bundle, tol=min(self.scn.tol, 1e-8), memo=self.memo
+            )
 
     @property
     def spec(self):
@@ -94,37 +102,29 @@ class RunContext:
     def dim(self):
         return self.bundle.spec.dim
 
-    def sample_mu(self, spec, t, tol=1e-3, cfg=None):
-        """:func:`kolmolab.measures.sample_mu`, computed once per run and key.
+    @property
+    def analytic(self):
+        """Whether experiments run on the closed-form (OU) engine."""
+        return self.model is not None and self.scn.kind != "general"
 
-        A cloud depends only on its arguments, so sharing it between
-        experiments changes no result.  A burn-in that raises is not cached,
-        and cached samples are read-only."""
-        key = (spec, float(t), float(tol), cfg)
-        with self._locks_guard:
-            lock = self._locks.setdefault(key, threading.Lock())
-        with lock:
-            mu = self._clouds.get(key)
-            if mu is None:
-                mu = sample_mu(spec, t, tol, cfg)
-                mu.samples.flags.writeable = False
-                self._clouds[key] = mu
-        return mu
+    def sample_mu(self, spec, t, tol=1e-3, cfg=None):
+        """:func:`kolmolab.measures.sample_mu`, computed once per run and key."""
+        return self.memo("clouds", sample_mu, spec, float(t), float(tol), cfg)
 
     def engine(self, exp, heavy=False):
-        """Fresh engine per experiment; Monte Carlo burn-ins are shared."""
-        mc = {
-            "cloud_size": int(exp.params.get("cloud", 4096 if heavy else 8192)),
-            "n_inner": int(exp.params.get("inner", 96 if heavy else 192)),
-            "n_outer": int(exp.params.get("outer", 1024 if heavy else 2048)),
-            "sample": self.sample_mu,
-        }
+        """The run's analytic engine, or a Monte Carlo engine sized by the
+        experiment; both draw on the run's memo."""
+        if self.analytic:
+            return self._analytic_engine
         return engine_for(
             self.bundle,
             cfg=self.cfg,
-            tol=min(self.scn.tol, 1e-8),
             kind=self.scn.kind,
-            **mc,
+            memo=self.memo,
+            cloud_size=int(exp.params.get("cloud", 4096 if heavy else 8192)),
+            n_inner=int(exp.params.get("inner", 96 if heavy else 192)),
+            n_outer=int(exp.params.get("outer", 1024 if heavy else 2048)),
+            sample=self.sample_mu,
         )
 
     def default_s(self):
@@ -281,9 +281,8 @@ def _run_invariance(ctx, exp):
     cloud = int(exp.params.get("cloud", 16384))
     fns = fb.bounded_test_family(ctx.dim)
     cfg = replace(ctx.cfg, n_paths=cloud)
-    analytic = ctx.model is not None and ctx.scn.kind != "general"
-    obj = ctx.model if analytic else ctx.spec
-    engine = ctx.engine(exp) if analytic else None
+    obj = ctx.model if ctx.analytic else ctx.spec
+    engine = ctx.engine(exp) if ctx.analytic else None
     cases = [(fns[k % len(fns)], spans[k % len(spans)]) for k in range(n_cases)]
     # one call per distinct span: cases that share it share the push-forward
     defects = {}
@@ -294,7 +293,8 @@ def _run_invariance(ctx, exp):
         if engine is not None:
             kw = {"mu_s": engine.measure(s0), "mu_t": engine.measure(t)}
         ds = invariance_defect(
-            obj, s0, t, [cases[k][0] for k in ks], cfg=cfg, sample=ctx.sample_mu, **kw
+            obj, s0, t, [cases[k][0] for k in ks], cfg=cfg, sample=ctx.sample_mu,
+            memo=ctx.memo, **kw
         )
         defects.update(zip(ks, ds))
     rows = []
@@ -322,11 +322,14 @@ def _run_flow(ctx, exp):
     cloud = int(exp.params.get("cloud", 16384))
     cfg = replace(ctx.cfg, n_paths=cloud)
     fns = fb.compact_flat_battery(ctx.dim, n)
-    obj = ctx.model if (ctx.model is not None and ctx.scn.kind != "general") else ctx.spec
+    obj = ctx.model if ctx.analytic else ctx.spec
+    measure = ctx.engine(exp).measure if ctx.analytic else None
     rows = []
     for r in rs:
         for k, f in enumerate(fns):
-            d = flow_derivative_defect(obj, f, r, h=h, cfg=cfg, sample=ctx.sample_mu)
+            d = flow_derivative_defect(
+                obj, f, r, h=h, cfg=cfg, sample=ctx.sample_mu, measure=measure
+            )
             tol = max(100.0 * h * h, 4.0 * d.tolerance)
             rows.append(
                 _row(
@@ -490,7 +493,7 @@ def _decay_family(ctx):
         fb.sin_ridge(np.full(dim, 0.8 / math.sqrt(dim)), b=0.3),
         fb.gaussian_bump(center=0.5, width=1.5, dim=dim),
     ]
-    if ctx.model is not None and ctx.scn.kind != "general":
+    if ctx.analytic:
         fns.insert(0, fb.affine(np.ones(dim) / math.sqrt(dim)))
     return fns
 
@@ -678,6 +681,8 @@ def run_scenario(scn):
         "created_at": datetime.now(timezone.utc).isoformat(),
         "duration_seconds": round(time.monotonic() - t0, 3),
         "package_version": __version__,
+        # hits and misses of the run memo, per cache kind
+        "memo": ctx.memo.counts(),
     }
     return Report(
         scenario=scn.name,

@@ -400,10 +400,33 @@ def _check_times(scn, exp, keys, start):
         for x in vals:
             if not isinstance(x, (int, float)):
                 _err(f"experiment {exp.name!r}: {key} must be numeric")
+            if not math.isfinite(x):
+                _err(f"experiment {exp.name!r}: {key} must be finite, got {x}")
             if math.isfinite(start) and x < start:
                 _err(
                     f"experiment {exp.name!r}: time {x} lies before the "
                     f"interval start {start} of scenario {scn.name!r}"
+                )
+
+
+# Exponent keys per experiment kind, each >= 1; True where 1 is excluded.
+_EXPONENTS = {
+    "lsi": {"p": True},
+    "poincare": {"p": False},
+    "hyper": {"q": True},
+    "decay": {"p": False, "p_b": False},
+}
+
+
+def _check_exponents(exp):
+    for key, strict in _EXPONENTS.get(exp.kind, {}).items():
+        v = exp.params.get(key, [])
+        for x in v if isinstance(v, list) else [v]:
+            finite = isinstance(x, (int, float)) and math.isfinite(x)
+            if not finite or x < 1 or (strict and x == 1):
+                _err(
+                    f"experiment {exp.name!r}: {exp.kind} needs finite {key} "
+                    f"{'>' if strict else '>='} 1, got {x!r}"
                 )
 
 
@@ -480,6 +503,10 @@ def validate_scenario(scn):
                 f"valid: {list(EXPERIMENT_KINDS)}"
             )
         _check_times(scn, exp, ("s", "t", "r", "times", "t_grid"), start)
+        # time offsets: finite, with no interval to lie in
+        offsets = ("spans", "gaps", "curve_gaps", "gaps_a", "gaps_b", "h", "t_inf")
+        _check_times(scn, exp, offsets, -math.inf)
+        _check_exponents(exp)
         if exp.kind == "limit" and bundle.model is None:
             _err(
                 f"experiment {exp.name!r}: the asymptotic-limit check needs "

@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in process via cli.main."""
 
 import json
+import time
 
 import pytest
 
@@ -173,3 +174,22 @@ def test_kind_command_merges_set_into_declared(tmp_path, capsys):
 def test_bad_set_syntax(capsys):
     assert cli.main(["poincare", "ou_const", "--set", "oops"]) == 2
     assert "KEY=VALUE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, assignment",
+    [
+        ("poincare", "t=nan"),
+        ("poincare", "t=inf"),
+        ("poincare", "p=[0.5]"),
+        ("lsi", "p=[1.0]"),
+        ("hyper", "q=[1.0]"),
+        ("hyper", "gaps=[nan]"),
+        ("decay", "p=[2.0, nan]"),
+    ],
+)
+def test_out_of_domain_values_are_configuration_errors(kind, assignment, capsys):
+    start = time.monotonic()
+    assert cli.main([kind, "ou_const", "--set", assignment]) == 2
+    assert time.monotonic() - start < 10.0
+    assert "configuration error" in capsys.readouterr().err

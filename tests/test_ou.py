@@ -380,6 +380,18 @@ def test_gaussian_measure_rejects_bad_cov():
         GaussianMeasure(mean=np.zeros(2), cov=np.eye(3))
 
 
+def test_gaussian_measure_is_read_only():
+    # one mu_t is shared by every experiment of a run
+    mean = np.zeros(2)
+    mu = GaussianMeasure(mean=mean, cov=np.eye(2))
+    with pytest.raises(ValueError):
+        mu.mean[0] = 1.0
+    with pytest.raises(ValueError):
+        mu.cov[0, 0] = 2.0
+    mean[0] = 1.0  # the caller's array stays the caller's
+    assert mu.mean[0] == 0.0
+
+
 def test_gaussian_density_integrates_to_one():
     mu1 = GaussianMeasure(mean=np.array([0.3]), cov=np.array([[1.4]]))
     xs = np.linspace(-14.0, 14.0, 4001)

@@ -1,4 +1,4 @@
-"""Runner: the run-scoped burn-in memo and the experiment error boundary."""
+"""Runner: the run-scoped memo and the experiment error boundary."""
 
 import json
 import sys
@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from kolmolab import cli, runner, sde
+from kolmolab import cli, engines, measures, ou, runner, sde
+from kolmolab.memo import KINDS
 from kolmolab.scenario import parse_scenario, validate_scenario
 
 # measure and lsi share one engine cloud at t = 1; invariance needs mu_0.5,
@@ -41,8 +42,59 @@ end
 """
 
 
-def tiny_context():
-    scn = parse_scenario(TINY_GENERAL)
+# every experiment runs on the one analytic engine of the run
+TINY_OU = """\
+scenario memo_ou
+  catalog ou_const
+  kind ou
+  experiment measure
+    times [1.0, 2.0]
+    export false
+  end
+  experiment invariance
+    s 0.0
+    spans [0.5, 1.0]
+    n 4
+  end
+  experiment flow
+    r [1.0]
+    n 2
+  end
+  experiment hyper
+    s 0.0
+    q [1.5, 2.0]
+    gaps [0.5, 1.0]
+    n 4
+    curve_gaps [0.0, 0.5, 1.0]
+  end
+end
+"""
+
+# the hyper experiment of TINY_OU on the nested Monte Carlo engine
+TINY_MC_HYPER = """\
+scenario memo_mc
+  catalog cubic_dissipative
+  kind general
+  sim
+    dt 2e-2
+    seed 5
+  end
+  experiment hyper
+    s 0.0
+    q [1.5, 2.0]
+    gaps [0.5, 1.0]
+    n 4
+    curve_gaps [0.0, 0.5, 1.0]
+    cloud 256
+    outer 32
+    inner 8
+  end
+end
+"""
+
+
+def tiny_context(text=TINY_GENERAL):
+    scn = parse_scenario(text)
     return runner.RunContext(
         scn=scn, bundle=validate_scenario(scn), cfg=runner._build_cfg(scn)
     )
@@ -90,17 +142,124 @@ def test_invariance_pushes_forward_once_per_span(monkeypatch):
 
 
 def test_reports_do_not_depend_on_worker_count(tmp_path, monkeypatch):
-    outputs = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("KOLMOLAB_THREADS", threads)
-        report = runner.run_scenario(parse_scenario(TINY_GENERAL))
-        base = runner.write_report(report, tmp_path / threads).parent
-        summary = json.loads((base / "summary.json").read_text())
-        summary.pop("metadata")
-        csvs = {p.name: p.read_bytes() for p in sorted(base.glob("*.csv"))}
-        outputs[threads] = (csvs, summary)
-    assert len(outputs["1"][0]) == 3
-    assert outputs["1"] == outputs["4"]
+    # TINY_OU shares one analytic engine between four worker threads
+    for text, n_csv in ((TINY_GENERAL, 3), (TINY_OU, 4)):
+        outputs = {}
+        for threads in ("1", "4"):
+            monkeypatch.setenv("KOLMOLAB_THREADS", threads)
+            report = runner.run_scenario(parse_scenario(text))
+            base = runner.write_report(report, tmp_path / threads).parent
+            summary = json.loads((base / "summary.json").read_text())
+            summary.pop("metadata")
+            csvs = {p.name: p.read_bytes() for p in sorted(base.glob("*.csv"))}
+            outputs[threads] = (csvs, summary)
+        assert len(outputs["1"][0]) == n_csv
+        assert outputs["1"] == outputs["4"]
+
+
+def recorder(monkeypatch, owner, name, key):
+    """Replace owner.name by a pass-through that records key(*args)."""
+    calls = []
+    real = getattr(owner, name)
+
+    def record(*args):
+        calls.append(key(*args))
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, record)
+    return calls
+
+
+def forbid(monkeypatch, owner, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called outside the run's engine")
+
+    monkeypatch.setattr(owner, name, refuse)
+
+
+def test_ou_run_computes_each_ingredient_once(monkeypatch):
+    monkeypatch.setenv("KOLMOLAB_THREADS", "4")
+    fits = recorder(monkeypatch, engines, "estimate_omega0", lambda model: model)
+    mus = recorder(
+        monkeypatch, engines, "evolution_measure", lambda model, t, *rest: t
+    )
+    kernels = recorder(monkeypatch, ou, "_mehler_moments", lambda m, t, s: (t, s))
+    forbid(monkeypatch, measures, "evolution_measure")
+    report = runner.run_scenario(parse_scenario(TINY_OU))
+    assert [e.verdict for e in report.experiments] == ["pass"] * 4
+    assert len(fits) == 1
+    assert len(mus) == len(set(mus))
+    assert set(mus) == {0.0, 0.5, 0.99, 1.0, 1.01, 2.0}
+    assert len(kernels) == len(set(kernels))
+    assert set(kernels) == {(0.5, 0.0), (1.0, 0.0)}
+    counts = report.metadata["memo"]
+    assert set(counts) == set(KINDS)
+    assert counts["measures"]["misses"] == len(mus)
+    assert counts["measures"]["hits"] > 0
+    assert counts["omega"] == {"hits": len(mus) - 1, "misses": 1}
+    assert counts["clouds"] == {"hits": 0, "misses": 0}
+
+
+def test_flow_fits_omega_once(monkeypatch):
+    fits = recorder(monkeypatch, engines, "estimate_omega0", lambda model: model)
+    forbid(monkeypatch, measures, "evolution_measure")
+    ctx = tiny_context(TINY_OU)
+    exp = next(e for e in ctx.scn.experiments if e.kind == "flow")
+    rows = runner._run_flow(ctx, exp)
+    assert [r.verdict for r in rows] == ["pass"] * 2
+    assert len(fits) == 1
+
+
+@pytest.mark.parametrize(
+    "text, engine_cls",
+    [(TINY_OU, engines.AnalyticOUEngine), (TINY_MC_HYPER, engines.MonteCarloEngine)],
+    ids=["analytic", "mc"],
+)
+def test_hyper_applies_G_once_per_key(monkeypatch, text, engine_cls):
+    calls = recorder(
+        monkeypatch, engine_cls, "apply_G_at", lambda eng, s, t, f, xs: (s, t, f)
+    )
+    ctx = tiny_context(text)
+    exp = next(e for e in ctx.scn.experiments if e.kind == "hyper")
+    rows = runner._run_hyper(ctx, exp)
+    assert len(rows) == 5
+    # four checks (two q per gap) and the curve need G at two (s, t) only
+    assert len(calls) == len(set(calls)) == 2
+    assert {(s, t) for s, t, _ in calls} == {(0.0, 0.5), (0.0, 1.0)}
+
+
+def test_concurrent_requests_share_one_measure(monkeypatch):
+    ctx = tiny_context(TINY_OU)
+    calls = []
+    real = engines.evolution_measure
+
+    def slow_measure(model, t, *rest):
+        calls.append(t)
+        time.sleep(0.01)  # let the other workers reach the memo meanwhile
+        return real(model, t, *rest)
+
+    monkeypatch.setattr(engines, "evolution_measure", slow_measure)
+    exp = ctx.scn.experiments[0]
+    results = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(
+                target=lambda: results.append(ctx.engine(exp).measure(1.5))
+            )
+            for _ in range(8)
+        ]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    assert calls == [1.5]
+    assert len(results) == 8 and all(r is results[0] for r in results)
+    assert not results[0].cov.flags.writeable
 
 
 def test_cached_clouds_are_shared_and_read_only():
