@@ -49,7 +49,6 @@ from .ou import (
     estimate_omega0,
     evolution_measure,
     ou_apply_G,
-    ou_apply_grad_G,
     solve_lyapunov_limit,
 )
 from .sde import (
@@ -135,7 +134,6 @@ __all__ = [
     "estimate_omega0",
     "evolution_measure",
     "ou_apply_G",
-    "ou_apply_grad_G",
     "solve_lyapunov_limit",
     # paths
     "SimConfig",

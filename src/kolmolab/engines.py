@@ -7,6 +7,7 @@ The inequality suites only need a tiny surface:
 * ``apply_G_at(s, t, f, xs)``          -- (values, variance of each value),
 * ``grad_G_at(s, t, f, xs)``           -- (gradients, variance per component),
 * ``memo``                             -- a :class:`~kolmolab.memo.Memo`,
+* ``kind``                             -- "analytic" or "mc",
 * declared constants ``eta0, Lambda, r0``.
 
 Both kinds of measure share one surface too: ``mu.rule(order)`` gives
@@ -18,8 +19,9 @@ Both kinds of measure share one surface too: ``mu.rule(order)`` gives
 model; ``MonteCarloEngine`` propagates clouds with the path simulator, using
 ``n_inner`` replicate paths per evaluation point.  Through its memo (a
 run's, when given one) the analytic engine computes its omega fit, measures
-and kernel moments once per key, and the L^p helpers below compute G(t, s)f
-and its gradient at an engine's outer points once per (s, t, f, order).
+and kernel moments once per key, the Monte Carlo engine its burn-in clouds
+(``cloud(t, tol, cfg)``), and the L^p helpers below compute G(t, s)f and
+its gradient at an engine's outer points once per (s, t, f, order).
 The helpers debias the inner-mean plug-in (the first-order Jensen
 correction in the inner variance, zero for the analytic engine) and share
 one core: a quadrature sum with a fixed relative tolerance under weights, a
@@ -38,12 +40,7 @@ from .errors import DomainError
 from .measures import sample_mu
 from .memo import Memo
 from .model import reflect_time
-from .ou import (
-    estimate_omega0,
-    evolution_measure,
-    ou_apply_G,
-    ou_apply_grad_G,
-)
+from .ou import estimate_omega0, evolution_measure, ou_apply_G
 
 __all__ = [
     "AnalyticOUEngine",
@@ -98,8 +95,8 @@ class AnalyticOUEngine:
         return vals, np.zeros_like(vals)
 
     def grad_G_at(self, s, t, f, xs):
-        grads = ou_apply_grad_G(
-            self.model, t, s, f, xs, order=self.order, memo=self.memo
+        grads = ou_apply_G(
+            self.model, t, s, f, xs, order=self.order, memo=self.memo, grad=True
         )
         grads = np.atleast_2d(np.asarray(grads, dtype=float))
         return grads, np.zeros_like(grads)
@@ -118,7 +115,6 @@ class MonteCarloEngine:
         n_inner=192,
         n_outer=2048,
         mu_tol=1e-3,
-        sample=None,
         memo=None,
     ):
         if spec.r0 >= 0.0:
@@ -131,8 +127,6 @@ class MonteCarloEngine:
         # outer points (see outer_points).
         self.n_outer = n_outer
         self.mu_tol = mu_tol
-        # ``sample`` stands in for measures.sample_mu, e.g. a run-scoped memo
-        self.sample = sample
         self.memo = Memo() if memo is None else memo
         self.eta0 = spec.eta0
         self.Lambda = spec.Lambda
@@ -144,56 +138,56 @@ class MonteCarloEngine:
             2**62
         )
 
+    def cloud(self, t, tol, cfg):
+        """:func:`kolmolab.measures.sample_mu`, computed once per memo key."""
+        return self.memo("clouds", sample_mu, self.spec, float(t), float(tol), cfg)
+
     def measure(self, t):
         key = round(float(t), 12)
         if key not in self._measures:
             cfg = replace(
                 self.cfg, n_paths=self.cloud_size, seed=self._seed_for(1, t)
             )
-            sample = self.sample or sample_mu
-            self._measures[key] = sample(self.spec, t, self.mu_tol, cfg)
+            self._measures[key] = self.cloud(t, self.mu_tol, cfg)
         return self._measures[key]
 
-    def apply_G_at(self, s, t, f, xs):
-        """Inner means of f over n_inner replicate paths per point.
+    def _replicate_means(self, s, t, f, xs, grad):
+        """(means, variance of each mean) of f -- or, with ``grad``, of its
+        pathwise gradient J^T grad f -- over n_inner replicate paths from
+        each point of ``xs``.
 
         The replicates run the mirrored-clock flow (the kernel of G; see
-        kolmolab.sde).  Returns (means, variance of each mean)."""
+        kolmolab.sde) on a seed of their own for values and for gradients."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         n = xs.shape[0]
         starts = np.repeat(xs, self.n_inner, axis=0)
         cfg = replace(
-            self.cfg, n_paths=n * self.n_inner, seed=self._seed_for(2, t + 1e3 * s)
+            self.cfg,
+            n_paths=n * self.n_inner,
+            seed=self._seed_for(3 if grad else 2, t + 1e3 * s),
         )
         bundle = sde.simulate(
             reflect_time(self.spec, s + t), s, t, starts, cfg,
-            with_jacobians=False,
+            with_jacobians=grad,
         )
-        vals = np.asarray(f.value(bundle.states), dtype=float).reshape(
-            n, self.n_inner
-        )
-        means = vals.mean(axis=1)
-        var_means = vals.var(axis=1, ddof=1) / self.n_inner
-        return means, var_means
+        if grad:
+            g = np.asarray(f.gradient(bundle.states), dtype=float)
+            per_path = np.einsum("nij,ni->nj", bundle.jacobians, g).reshape(
+                n, self.n_inner, -1
+            )
+        else:
+            per_path = np.asarray(f.value(bundle.states), dtype=float).reshape(
+                n, self.n_inner
+            )
+        return per_path.mean(axis=1), per_path.var(axis=1, ddof=1) / self.n_inner
+
+    def apply_G_at(self, s, t, f, xs):
+        """Inner means of f over n_inner replicate paths per point:
+        (means, variance of each mean)."""
+        return self._replicate_means(s, t, f, xs, grad=False)
 
     def grad_G_at(self, s, t, f, xs):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        n, d = xs.shape
-        starts = np.repeat(xs, self.n_inner, axis=0)
-        cfg = replace(
-            self.cfg, n_paths=n * self.n_inner, seed=self._seed_for(3, t + 1e3 * s)
-        )
-        bundle = sde.simulate(
-            reflect_time(self.spec, s + t), s, t, starts, cfg,
-            with_jacobians=True,
-        )
-        g = np.asarray(f.gradient(bundle.states), dtype=float)
-        per_path = np.einsum("nij,ni->nj", bundle.jacobians, g).reshape(
-            n, self.n_inner, d
-        )
-        means = per_path.mean(axis=1)
-        var_means = per_path.var(axis=1, ddof=1) / self.n_inner
-        return means, var_means
+        return self._replicate_means(s, t, f, xs, grad=True)
 
     def outer_points(self, mu, order=None):
         """The first n_outer cloud points, unweighted; the cloud is i.i.d.,

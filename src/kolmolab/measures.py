@@ -22,7 +22,6 @@ from __future__ import annotations
 import io as _stdio
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -32,15 +31,13 @@ from . import sde
 from .errors import DomainError, HorizonError, UnboundedFunctionError
 from .functions import bounded_test_family
 from .io import atomic_write_text
-from .memo import fresh
 from .model import apply_generator, reflect_time
 from .ou import (
     _COMPACT_NODES,
     GaussianMeasure,
-    OUModel,
     _is_compactly_flat,
     _simpson_gaussian,
-    evolution_measure,
+    ou_apply_G,
 )
 
 __all__ = [
@@ -168,37 +165,32 @@ def mean_functional(mu, f, certificate=None, order=64):
     return mu.expectation(f, order)[0]
 
 
-def invariance_defect(
-    obj, s, t, fns, cfg=None, mu_s=None, mu_t=None, order=64, sample=None,
-    memo=fresh,
-):
+def invariance_defect(engine, s, t, fns, cfg=None, mu_s=None, mu_t=None, order=64):
     """| int G(t,s) f d mu_t - int f d mu_s | with its tolerance, one
     :class:`Defect` per function in ``fns``.
 
-    For an :class:`OUModel` both sides are quadratures (outer Gauss-Hermite
+    On the analytic engine both sides are quadratures (outer Gauss-Hermite
     over mu_t of the kernel-evaluated G(t,s)f, and a plain quadrature of f
-    under mu_s); the kernel moments come from ``memo`` (see
-    :func:`kolmolab.ou.ou_apply_G`).  For a :class:`ProblemSpec` the left
-    side propagates a mu_t-distributed cloud from s to t (one path per
-    sample, shared by all functions) and the right side averages f over an
-    independent mu_s cloud.  Missing clouds come from ``sample`` (default
-    :func:`sample_mu`, same signature).
+    under mu_s), with missing measures from ``engine.measure`` and the
+    kernel moments from ``engine.memo`` (see :func:`kolmolab.ou.ou_apply_G`).
+    On the Monte Carlo engine the left side propagates a mu_t-distributed
+    cloud from s to t (one path per sample, shared by all functions) and
+    the right side averages f over an independent mu_s cloud; missing clouds
+    are burn-ins of size and seed ``cfg`` from ``engine.cloud``.
     """
-    from .ou import ou_apply_G  # local import to keep module load light
-
     if t <= s:
         raise DomainError(f"need s < t, got s={s}, t={t}")
-    if isinstance(obj, OUModel):
-        model = obj
-        mu_t = mu_t or evolution_measure(model, t)
-        mu_s = mu_s or evolution_measure(model, s)
+    if engine.kind == "analytic":
+        model = engine.model
+        mu_t = mu_t or engine.measure(t)
+        mu_s = mu_s or engine.measure(s)
         pts, w = mu_t.rule(order)
         defects = []
         for f in fns:
-            lhs = float(w @ ou_apply_G(model, t, s, f, pts, order, memo))
+            lhs = float(w @ ou_apply_G(model, t, s, f, pts, order, engine.memo))
             rhs, rhs_err = mu_s.expectation(f, order)
             lhs_check = float(
-                w @ ou_apply_G(model, t, s, f, pts, max(8, order // 2), memo)
+                w @ ou_apply_G(model, t, s, f, pts, max(8, order // 2), engine.memo)
             )
             tol = max(1e-9, abs(lhs - lhs_check)) + rhs_err
             defects.append(
@@ -206,10 +198,9 @@ def invariance_defect(
             )
         return defects
 
-    spec = obj
+    spec = engine.spec
     cfg = cfg or sde.SimConfig()
-    sample = sample or sample_mu
-    mu_t = mu_t or sample(spec, t, cfg=cfg)
+    mu_t = mu_t or engine.cloud(t, engine.mu_tol, cfg)
     seed_shift = sde.SimConfig(
         dt=cfg.dt, n_paths=mu_t.n, seed=cfg.seed + 101, scheme=cfg.scheme
     )
@@ -222,7 +213,7 @@ def invariance_defect(
         cfg_s = sde.SimConfig(
             dt=cfg.dt, n_paths=cfg.n_paths, seed=cfg.seed + 7919, scheme=cfg.scheme
         )
-        mu_s = sample(spec, s, cfg=cfg_s)
+        mu_s = engine.cloud(s, engine.mu_tol, cfg_s)
     pushed = EmpiricalMeasure(samples=bundle.states)
     defects = []
     for f in fns:
@@ -280,17 +271,15 @@ def _ou_generator_mean(model, r, f, mu, order):
     return float(w @ gen_vals(pts))
 
 
-def flow_derivative_defect(
-    obj, f, r, h=1e-2, cfg=None, mu_tol=1e-3, order=64, sample=None, measure=None
-):
+def flow_derivative_defect(engine, f, r, h=1e-2, cfg=None, order=64):
     """Defect of d/dr m_r(f) = -m_r(A(r) f) via a central difference.
 
     Only admits functions that are constant outside a compact set (the
-    identity is proved for that class); others are refused.  For an
-    :class:`OUModel` the Gaussians mu_{r-h}, mu_r and mu_{r+h} come from
-    ``measure(t)`` (default :func:`evolution_measure`), e.g. an engine's
-    ``measure``; the Monte Carlo mu_r cloud comes from ``sample`` (default
-    :func:`sample_mu`).
+    identity is proved for that class); others are refused.  On the
+    analytic engine the Gaussians mu_{r-h}, mu_r and mu_{r+h} come from
+    ``engine.measure``.  On the Monte Carlo engine the two offset clouds are
+    paired burn-ins of size and seed ``cfg`` to the tolerance
+    ``engine.mu_tol``, and the mu_r cloud comes from ``engine.cloud``.
     """
     if not f.meta.compact_support:
         raise DomainError(
@@ -300,22 +289,20 @@ def flow_derivative_defect(
     if f.hessian is None:
         raise DomainError("flow_derivative_defect needs a C^2 function")
 
-    if isinstance(obj, OUModel):
-        model = obj
-        measure = measure or partial(evolution_measure, model)
-        mu_p = measure(r + h)
-        mu_m = measure(r - h)
-        mu_0 = measure(r)
+    if engine.kind == "analytic":
+        mu_p = engine.measure(r + h)
+        mu_m = engine.measure(r - h)
+        mu_0 = engine.measure(r)
         m_p, e_p = mu_p.expectation(f, order)
         m_m, e_m = mu_m.expectation(f, order)
-        gen = _ou_generator_mean(model, r, f, mu_0, order)
+        gen = _ou_generator_mean(engine.model, r, f, mu_0, order)
         diff = (m_p - m_m) / (2.0 * h)
         tol = (e_p + e_m) / (2.0 * h) + 1e-9
         return Defect(value=abs(diff + gen), tolerance=tol, lhs=diff, rhs=-gen)
 
-    spec = obj
+    spec = engine.spec
     cfg = cfg or sde.SimConfig()
-    span = r - burn_in_start(spec, r, mu_tol)
+    span = r - burn_in_start(spec, r, engine.mu_tol)
     x0 = np.zeros(spec.dim)
     # Common random numbers: both offset clouds share the seed and span, so
     # the central difference is a mean of pathwise-paired differences.  Each
@@ -336,7 +323,7 @@ def flow_derivative_defect(
     cfg_mid = sde.SimConfig(
         dt=cfg.dt, n_paths=cfg.n_paths, seed=cfg.seed + 37, scheme=cfg.scheme
     )
-    mu_0 = (sample or sample_mu)(spec, r, mu_tol, cfg_mid)
+    mu_0 = engine.cloud(r, engine.mu_tol, cfg_mid)
     gen_vals_fn = _GeneratorValues(spec, r, f)
     gen, se_gen = mu_0.expectation(gen_vals_fn)
     return Defect(

@@ -74,7 +74,6 @@ __all__ = [
     "estimate_omega0",
     "evolution_measure",
     "ou_apply_G",
-    "ou_apply_grad_G",
     "solve_lyapunov_limit",
     "sqrtm_psd",
     "gauss_hermite_rule",
@@ -518,47 +517,38 @@ def _point_chunks(n, offsets):
         i0 = i1
 
 
-def ou_apply_G(model, t, s, f, x, order=64, memo=fresh):
-    """(G(t, s) f)(x) through the Gaussian kernel representation.
+def ou_apply_G(model, t, s, f, x, order=64, memo=fresh, grad=False):
+    """(G(t, s) f)(x) through the Gaussian kernel representation; with
+    ``grad``, its gradient grad_x (G(t, s) f)(x) = M^T E[grad f(M x + m + Z)],
+    M = U(s, t).
 
     ``x`` may be a point (d,) or a batch (n, d).  Requires t >= s;
-    ``t == s`` returns f(x) exactly.  The kernel comes from ``memo`` (see
-    :mod:`kolmolab.memo`), e.g. a run's memo; the default computes it.
+    ``t == s`` returns f(x) (or grad f(x)) exactly.  The kernel comes from
+    ``memo`` (see :mod:`kolmolab.memo`), e.g. a run's memo; the default
+    computes it.
     """
     if t < s:
         raise DomainError(f"need t >= s, got t={t} < s={s}")
     xb, single = as_batch(x, model.dim)
+    shape = xb.shape if grad else xb.shape[:1]
+    evaluate = f.gradient if grad else f.value
     if t == s:
-        vals = np.asarray(f.value(xb), dtype=float).reshape(xb.shape[0])
-        return vals[0] if single else vals
+        out = np.asarray(evaluate(xb), dtype=float).reshape(shape)
+        return out[0] if single else out
     M, m, offsets, w = memo("kernels", _kernel_offsets, model, t, s, order, memo)
     centers = xb @ M.T + m  # (n, d)
-    out = np.empty(xb.shape[0])
+    out = np.empty(shape)
     for chunk in _point_chunks(xb.shape[0], offsets):
         pts = centers[chunk, None, :] + offsets[None, :, :]
-        vals = np.asarray(f.value(pts.reshape(-1, model.dim)), dtype=float)
-        out[chunk] = vals.reshape(-1, w.shape[0]) @ w
-    return out[0] if single else out
-
-
-def ou_apply_grad_G(model, t, s, f, x, order=64, memo=fresh):
-    """grad_x (G(t, s) f)(x) = M^T E[grad f(M x + m + Z)], M = U(s, t)."""
-    if t < s:
-        raise DomainError(f"need t >= s, got t={t} < s={s}")
-    xb, single = as_batch(x, model.dim)
-    if t == s:
-        g = np.asarray(f.gradient(xb), dtype=float).reshape(xb.shape)
-        return g[0] if single else g
-    M, m, offsets, w = memo("kernels", _kernel_offsets, model, t, s, order, memo)
-    centers = xb @ M.T + m
-    acc = np.empty_like(xb)
-    for chunk in _point_chunks(xb.shape[0], offsets):
-        pts = centers[chunk, None, :] + offsets[None, :, :]
-        grads = np.asarray(f.gradient(pts.reshape(-1, model.dim)), dtype=float)
-        acc[chunk] = np.einsum(
-            "nkd,k->nd", grads.reshape(-1, w.shape[0], model.dim), w
-        )
-    out = acc @ M
+        vals = np.asarray(evaluate(pts.reshape(-1, model.dim)), dtype=float)
+        if grad:
+            out[chunk] = np.einsum(
+                "nkd,k->nd", vals.reshape(-1, w.shape[0], model.dim), w
+            )
+        else:
+            out[chunk] = vals.reshape(-1, w.shape[0]) @ w
+    if grad:
+        out = out @ M
     return out[0] if single else out
 
 

@@ -51,7 +51,6 @@ from .measures import (
     export_measure_json,
     flow_derivative_defect,
     invariance_defect,
-    sample_mu,
     tightness_profile,
     weak_star_gap,
 )
@@ -107,10 +106,6 @@ class RunContext:
         """Whether experiments run on the closed-form (OU) engine."""
         return self.model is not None and self.scn.kind != "general"
 
-    def sample_mu(self, spec, t, tol=1e-3, cfg=None):
-        """:func:`kolmolab.measures.sample_mu`, computed once per run and key."""
-        return self.memo("clouds", sample_mu, spec, float(t), float(tol), cfg)
-
     def engine(self, exp, heavy=False):
         """The run's analytic engine, or a Monte Carlo engine sized by the
         experiment; both draw on the run's memo."""
@@ -124,7 +119,6 @@ class RunContext:
             cloud_size=int(exp.params.get("cloud", 4096 if heavy else 8192)),
             n_inner=int(exp.params.get("inner", 96 if heavy else 192)),
             n_outer=int(exp.params.get("outer", 1024 if heavy else 2048)),
-            sample=self.sample_mu,
         )
 
     def default_s(self):
@@ -275,26 +269,20 @@ def _run_measure(ctx, exp):
 
 
 def _run_invariance(ctx, exp):
+    engine = ctx.engine(exp)
     s0 = float(exp.params.get("s", ctx.default_s()))
     spans = _times(exp.params, "spans", [0.5, 1.0, 2.0])
     n_cases = int(exp.params.get("n", 10))
     cloud = int(exp.params.get("cloud", 16384))
     fns = fb.bounded_test_family(ctx.dim)
     cfg = replace(ctx.cfg, n_paths=cloud)
-    obj = ctx.model if ctx.analytic else ctx.spec
-    engine = ctx.engine(exp) if ctx.analytic else None
     cases = [(fns[k % len(fns)], spans[k % len(spans)]) for k in range(n_cases)]
     # one call per distinct span: cases that share it share the push-forward
     defects = {}
     for span in dict.fromkeys(span for _, span in cases):
         ks = [k for k, (_, sp) in enumerate(cases) if sp == span]
-        t = s0 + span
-        kw = {}
-        if engine is not None:
-            kw = {"mu_s": engine.measure(s0), "mu_t": engine.measure(t)}
         ds = invariance_defect(
-            obj, s0, t, [cases[k][0] for k in ks], cfg=cfg, sample=ctx.sample_mu,
-            memo=ctx.memo, **kw
+            engine, s0, s0 + span, [cases[k][0] for k in ks], cfg=cfg
         )
         defects.update(zip(ks, ds))
     rows = []
@@ -316,20 +304,17 @@ def _run_invariance(ctx, exp):
 
 
 def _run_flow(ctx, exp):
+    engine = ctx.engine(exp)
     rs = _times(exp.params, "r", [ctx.default_s() + 1.0])
     h = float(exp.params.get("h", 1e-2))
     n = int(exp.params.get("n", 5))
     cloud = int(exp.params.get("cloud", 16384))
     cfg = replace(ctx.cfg, n_paths=cloud)
     fns = fb.compact_flat_battery(ctx.dim, n)
-    obj = ctx.model if ctx.analytic else ctx.spec
-    measure = ctx.engine(exp).measure if ctx.analytic else None
     rows = []
     for r in rs:
         for k, f in enumerate(fns):
-            d = flow_derivative_defect(
-                obj, f, r, h=h, cfg=cfg, sample=ctx.sample_mu, measure=measure
-            )
+            d = flow_derivative_defect(engine, f, r, h=h, cfg=cfg)
             tol = max(100.0 * h * h, 4.0 * d.tolerance)
             rows.append(
                 _row(

@@ -391,22 +391,52 @@ def apply_overrides(scn, overrides):
     )
 
 
+def _finite_values(exp, key):
+    """The values of ``key`` (a number or a list of them), each finite."""
+    v = exp.params.get(key, [])
+    vals = v if isinstance(v, list) else [v]
+    for x in vals:
+        if not isinstance(x, (int, float)):
+            _err(f"experiment {exp.name!r}: {key} must be numeric")
+        if not math.isfinite(x):
+            _err(f"experiment {exp.name!r}: {key} must be finite, got {x}")
+    return vals
+
+
 def _check_times(scn, exp, keys, start):
     for key in keys:
-        v = exp.params.get(key)
-        if v is None:
-            continue
-        vals = v if isinstance(v, list) else [v]
-        for x in vals:
-            if not isinstance(x, (int, float)):
-                _err(f"experiment {exp.name!r}: {key} must be numeric")
-            if not math.isfinite(x):
-                _err(f"experiment {exp.name!r}: {key} must be finite, got {x}")
+        for x in _finite_values(exp, key):
             if math.isfinite(start) and x < start:
                 _err(
                     f"experiment {exp.name!r}: time {x} lies before the "
                     f"interval start {start} of scenario {scn.name!r}"
                 )
+
+
+# Time offsets by the sign they need; zero gaps are legal, since the default
+# curve_gaps start at 0.  t_inf is any finite time.
+_OFFSETS = {"spans": "positive", "h": "positive", "t_inf": None}
+_OFFSETS.update(
+    dict.fromkeys(("gaps", "curve_gaps", "gaps_a", "gaps_b"), "non-negative")
+)
+
+
+def _check_offsets(exp):
+    for key, sign in _OFFSETS.items():
+        for x in _finite_values(exp, key):
+            if sign and (x < 0 or x == 0 and sign == "positive"):
+                _err(f"experiment {exp.name!r}: {key} must be {sign}, got {x!r}")
+
+
+def _check_counts(exp):
+    """Counts of points, paths or cases must be positive integers."""
+    for key in ("n", "cloud", "inner", "outer", "paths"):
+        v = exp.params.get(key, 1)
+        if not isinstance(v, int) or v < 1:
+            _err(
+                f"experiment {exp.name!r}: {key} must be a positive integer, "
+                f"got {v!r}"
+            )
 
 
 # Exponent keys per experiment kind, each >= 1; True where 1 is excluded.
@@ -503,10 +533,9 @@ def validate_scenario(scn):
                 f"valid: {list(EXPERIMENT_KINDS)}"
             )
         _check_times(scn, exp, ("s", "t", "r", "times", "t_grid"), start)
-        # time offsets: finite, with no interval to lie in
-        offsets = ("spans", "gaps", "curve_gaps", "gaps_a", "gaps_b", "h", "t_inf")
-        _check_times(scn, exp, offsets, -math.inf)
+        _check_offsets(exp)
         _check_exponents(exp)
+        _check_counts(exp)
         if exp.kind == "limit" and bundle.model is None:
             _err(
                 f"experiment {exp.name!r}: the asymptotic-limit check needs "

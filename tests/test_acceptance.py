@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from kolmolab import catalog, functions, measures, sde
+from kolmolab import catalog, engines, functions, measures, sde
 from kolmolab.engines import lp_norm_measure
 from kolmolab.ineq import (
     decay_fit_A,
@@ -157,27 +157,29 @@ def test_02_evolution_measure_exactness(ou_const_bundle, ou_periodic_bundle):
 
 
 def test_03_invariance_identity(
-    ou_const_bundle, ou_periodic_bundle, cubic_spec
+    ou_const_bundle, ou_periodic_bundle, cubic_bundle, cubic_spec
 ):
     fam = functions.bounded_test_family(1)[4:14]  # ten smooth members
     pairs = [(0.0, 0.5), (0.25, 1.25), (0.5, 2.0)]
 
     worst_ou = 0.0
-    for model in (ou_const_bundle.model, ou_periodic_bundle.model):
+    for bundle in (ou_const_bundle, ou_periodic_bundle):
+        engine = engines.engine_for(bundle)
         for k, f in enumerate(fam):
             s, t = pairs[k % len(pairs)]
-            d, = measures.invariance_defect(model, s, t, [f])
+            d, = measures.invariance_defect(engine, s, t, [f])
             worst_ou = max(worst_ou, abs(d.value))
     ok_ou = worst_ou <= 1e-6
 
     cfg = sde.SimConfig(dt=2e-3, n_paths=8000, seed=71)
+    mc_engine = engines.engine_for(cubic_bundle)
     worst_z = 0.0
     for j, (s, t) in enumerate([(0.0, 0.75), (0.5, 1.5)]):
         mu_s = measures.sample_mu(cubic_spec, s, 1e-3, cfg)
         mu_t = measures.sample_mu(cubic_spec, t, 1e-3, cfg)
         for f in fam[5 * j : 5 * j + 5]:
             d, = measures.invariance_defect(
-                cubic_spec, s, t, [f], cfg=cfg, mu_s=mu_s, mu_t=mu_t
+                mc_engine, s, t, [f], cfg=cfg, mu_s=mu_s, mu_t=mu_t
             )
             worst_z = max(worst_z, abs(d.value) / d.tolerance)
     ok_mc = worst_z <= 3.0
@@ -428,20 +430,22 @@ def test_08_convergent_limit(ou_convergent_bundle):
 # ---------------------------------------------------------------------
 
 
-def test_09_mean_flow_identity(ou_periodic_bundle, cubic_spec):
+def test_09_mean_flow_identity(ou_periodic_bundle, cubic_bundle):
+    ou_engine = engines.engine_for(ou_periodic_bundle)
+    mc_engine = engines.engine_for(cubic_bundle)
     bumps = functions.compact_flat_battery(1, n=5)
     h = 1e-2
     ok = True
     worst = 0.0
     for f in bumps:
-        d = measures.flow_derivative_defect(ou_periodic_bundle.model, f, 0.8, h=h)
+        d = measures.flow_derivative_defect(ou_engine, f, 0.8, h=h)
         cap = max(100.0 * h * h, 4.0 * d.tolerance)
         worst = max(worst, abs(d.value) / cap)
         ok &= abs(d.value) <= cap
 
     cfg = sde.SimConfig(dt=2e-3, n_paths=6000, seed=29)
     for f in bumps:
-        d = measures.flow_derivative_defect(cubic_spec, f, 1.0, h=h, cfg=cfg)
+        d = measures.flow_derivative_defect(mc_engine, f, 1.0, h=h, cfg=cfg)
         cap = max(100.0 * h * h, 4.0 * d.tolerance)
         worst = max(worst, abs(d.value) / cap)
         ok &= abs(d.value) <= cap

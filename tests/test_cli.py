@@ -186,6 +186,18 @@ def test_bad_set_syntax(capsys):
         ("hyper", "q=[1.0]"),
         ("hyper", "gaps=[nan]"),
         ("decay", "p=[2.0, nan]"),
+        ("flow", "h=0"),
+        ("invariance", "spans=[-0.5]"),
+        ("hyper", "gaps=[-1]"),
+        ("hyper", "curve_gaps=[-0.5]"),
+        ("decay", "gaps_a=[-1]"),
+        ("decay", "gaps_b=[-1]"),
+        ("lsi", "n=abc"),
+        ("lsi", "n=2.5"),
+        ("hyper", "inner=0"),
+        ("hyper", "outer=1.5"),
+        ("invariance", "cloud=abc"),
+        ("simulate", "paths=-1"),
     ],
 )
 def test_out_of_domain_values_are_configuration_errors(kind, assignment, capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kolmolab import catalog, functions, measures, sde
+from kolmolab import catalog, engines, functions, measures, sde
 from kolmolab.errors import DomainError, HorizonError, UnboundedFunctionError
 from kolmolab.model import build_lyapunov_gaussian
 from kolmolab.ou import GaussianMeasure, evolution_measure
@@ -157,56 +157,55 @@ def test_tightness_2d_gaussian():
 # ----------------------------------------------------------------------
 
 
-def test_invariance_constant_function(ou_const_bundle):
+def test_invariance_constant_function(ou_const_engine):
     one = functions.constant(1.0, dim=1)
-    d, = measures.invariance_defect(ou_const_bundle.model, 0.0, 1.0, [one])
+    d, = measures.invariance_defect(ou_const_engine, 0.0, 1.0, [one])
     assert d.value <= 1e-12
 
 
-def test_invariance_quadratic_exact(ou_const_bundle, ou_periodic_bundle):
+def test_invariance_quadratic_exact(ou_const_engine, ou_periodic_engine):
     x2 = functions.quadratic(np.array([[1.0]]))
-    d, = measures.invariance_defect(ou_const_bundle.model, 0.0, 1.0, [x2])
+    d, = measures.invariance_defect(ou_const_engine, 0.0, 1.0, [x2])
     # both sides are the second moment of the N(0,1) member of the family,
     # known only up to the measure-construction tolerance 1e-8
     assert d.lhs == pytest.approx(1.0, abs=2e-8)
     assert d.rhs == pytest.approx(1.0, abs=2e-8)
     assert d.value <= 1e-6
 
-    d2, = measures.invariance_defect(ou_periodic_bundle.model, 0.4, 1.7, [x2])
+    d2, = measures.invariance_defect(ou_periodic_engine, 0.4, 1.7, [x2])
     assert d2.value <= 1e-6
 
 
-def test_invariance_smooth_battery(ou_periodic_bundle):
-    model = ou_periodic_bundle.model
+def test_invariance_smooth_battery(ou_periodic_engine):
     for f in functions.bounded_test_family(1)[4:8]:
-        d, = measures.invariance_defect(model, 0.25, 1.25, [f])
+        d, = measures.invariance_defect(ou_periodic_engine, 0.25, 1.25, [f])
         assert d.value <= max(3.0 * d.tolerance, 1e-6)
 
 
-def test_invariance_rejects_bad_times(ou_const_bundle):
+def test_invariance_rejects_bad_times(ou_const_engine):
     one = functions.constant(1.0, dim=1)
     with pytest.raises(DomainError):
-        measures.invariance_defect(ou_const_bundle.model, 1.0, 1.0, [one])
+        measures.invariance_defect(ou_const_engine, 1.0, 1.0, [one])
 
 
 def test_invariance_monte_carlo(cubic_bundle):
-    spec = cubic_bundle.spec
+    engine = engines.engine_for(cubic_bundle)
     cfg = sde.SimConfig(dt=2e-3, n_paths=8000, seed=17)
     f = functions.tanh_ridge(np.array([1.0]), 0.1)
-    d, = measures.invariance_defect(spec, 0.0, 1.0, [f], cfg=cfg)
+    d, = measures.invariance_defect(engine, 0.0, 1.0, [f], cfg=cfg)
     assert d.value <= 3.5 * d.tolerance
     one = functions.constant(2.0, dim=1)
-    d1, = measures.invariance_defect(spec, 0.0, 1.0, [one], cfg=cfg)
+    d1, = measures.invariance_defect(engine, 0.0, 1.0, [one], cfg=cfg)
     assert d1.value <= 1e-12
 
 
 def test_invariance_shares_one_push_forward(cubic_bundle, monkeypatch):
     # functions of one call share the pushed cloud, and each gets the
     # defect a call of its own would give
-    spec = cubic_bundle.spec
+    engine = engines.engine_for(cubic_bundle)
     cfg = sde.SimConfig(dt=2e-2, n_paths=512, seed=23)
-    mu_s = measures.sample_mu(spec, 0.0, cfg=cfg)
-    mu_t = measures.sample_mu(spec, 0.5, cfg=cfg)
+    mu_s = measures.sample_mu(engine.spec, 0.0, cfg=cfg)
+    mu_t = measures.sample_mu(engine.spec, 0.5, cfg=cfg)
     fns = functions.bounded_test_family(1)[4:7]
     calls = []
     real = sde.simulate
@@ -214,24 +213,23 @@ def test_invariance_shares_one_push_forward(cubic_bundle, monkeypatch):
         sde, "simulate", lambda *a, **k: calls.append(a) or real(*a, **k)
     )
     together = measures.invariance_defect(
-        spec, 0.0, 0.5, fns, cfg=cfg, mu_s=mu_s, mu_t=mu_t
+        engine, 0.0, 0.5, fns, cfg=cfg, mu_s=mu_s, mu_t=mu_t
     )
     assert len(calls) == 1
     alone = [
         measures.invariance_defect(
-            spec, 0.0, 0.5, [f], cfg=cfg, mu_s=mu_s, mu_t=mu_t
+            engine, 0.0, 0.5, [f], cfg=cfg, mu_s=mu_s, mu_t=mu_t
         )[0]
         for f in fns
     ]
     assert together == alone
 
 
-def test_invariance_reuses_supplied_measures(ou_const_bundle):
-    model = ou_const_bundle.model
-    mu = evolution_measure(model, 0.0)
+def test_invariance_reuses_supplied_measures(ou_const_engine):
+    mu = evolution_measure(ou_const_engine.model, 0.0)
     x2 = functions.quadratic(np.array([[1.0]]))
     d, = measures.invariance_defect(
-        model, 0.0, 2.0, [x2],
+        ou_const_engine, 0.0, 2.0, [x2],
         mu_s=mu,
         mu_t=GaussianMeasure(mean=mu.mean, cov=mu.cov, t=2.0),
     )
@@ -249,38 +247,38 @@ def plateau_const(c):
     return functions.combine([0.0], [base], const=c)
 
 
-def test_flow_derivative_constant_vanishes(ou_periodic_bundle):
-    d = measures.flow_derivative_defect(ou_periodic_bundle.model, plateau_const(3.0), 1.0)
+def test_flow_derivative_constant_vanishes(ou_periodic_engine):
+    d = measures.flow_derivative_defect(ou_periodic_engine, plateau_const(3.0), 1.0)
     assert d.value <= 1e-9
 
 
-def test_flow_derivative_linear_quadrature(ou_periodic_bundle):
+def test_flow_derivative_linear_quadrature(ou_periodic_engine):
     f = functions.smooth_plateau(1.0, 2.5, dim=1)
-    d = measures.flow_derivative_defect(ou_periodic_bundle.model, f, 0.8, h=1e-2)
+    d = measures.flow_derivative_defect(ou_periodic_engine, f, 0.8, h=1e-2)
     assert d.value <= max(100.0 * 1e-2**2, 4.0 * d.tolerance)
 
 
-def test_flow_derivative_autonomous_is_static(ou_const_bundle):
+def test_flow_derivative_autonomous_is_static(ou_const_engine):
     # for the time-independent model, m_r(f) does not move and the generator
     # mean vanishes in equilibrium
     f = functions.smooth_plateau(1.0, 2.5, dim=1)
-    d = measures.flow_derivative_defect(ou_const_bundle.model, f, 1.0, h=1e-2)
+    d = measures.flow_derivative_defect(ou_const_engine, f, 1.0, h=1e-2)
     assert abs(d.lhs) <= 1e-6
     assert d.value <= max(1e-4, 4.0 * d.tolerance)
 
 
 def test_flow_derivative_monte_carlo(cubic_bundle):
-    spec = cubic_bundle.spec
+    engine = engines.engine_for(cubic_bundle)
     cfg = sde.SimConfig(dt=2e-3, n_paths=8000, seed=23)
     f = functions.smooth_plateau(1.0, 2.5, dim=1)
-    d = measures.flow_derivative_defect(spec, f, 1.0, h=1e-2, cfg=cfg)
+    d = measures.flow_derivative_defect(engine, f, 1.0, h=1e-2, cfg=cfg)
     assert d.value <= max(100.0 * 1e-2**2, 4.0 * d.tolerance)
 
 
-def test_flow_derivative_refuses_unbounded(ou_const_bundle):
+def test_flow_derivative_refuses_unbounded(ou_const_engine):
     with pytest.raises(DomainError):
         measures.flow_derivative_defect(
-            ou_const_bundle.model, functions.tanh_ridge(np.array([1.0]), 0.0), 1.0
+            ou_const_engine, functions.tanh_ridge(np.array([1.0]), 0.0), 1.0
         )
 
 

@@ -24,7 +24,6 @@ from kolmolab.ou import (
     forward_transition,
     gauss_hermite_rule,
     ou_apply_G,
-    ou_apply_grad_G,
     solve_lyapunov_limit,
     sqrtm_psd,
     transition_U,
@@ -211,13 +210,17 @@ def test_kernel_matrix_is_swapped_transition(ou_periodic_bundle):
     # the kernel matrix M, which must equal U(s, t) -- not U(t, s)
     model = ou_periodic_bundle.model
     s, t = 0.4, 1.7
-    g = ou_apply_grad_G(model, t, s, functions.coordinate(0, dim=1), np.array([0.3]))
+    g = ou_apply_G(
+        model, t, s, functions.coordinate(0, dim=1), np.array([0.3]), grad=True
+    )
     want = transition_U(model, s, t)[0, 0]
     assert abs(g[0] - want) <= 1e-9
 
     model2 = make_noncommuting_model()
     rows = [
-        ou_apply_grad_G(model2, t, s, functions.coordinate(i, dim=2), np.zeros(2))
+        ou_apply_G(
+            model2, t, s, functions.coordinate(i, dim=2), np.zeros(2), grad=True
+        )
         for i in range(2)
     ]
     M = np.vstack(rows)
@@ -234,7 +237,9 @@ def test_kernel_moments_close_the_measure_cocycle(ou_periodic_bundle):
     x2 = functions.quadratic(np.array([[1.0]]))
     m = ou_apply_G(model, t, s, functions.coordinate(0, dim=1), np.array([0.0]))
     C = ou_apply_G(model, t, s, x2, np.array([0.0])) - m**2
-    M = ou_apply_grad_G(model, t, s, functions.coordinate(0, dim=1), np.array([0.0]))[0]
+    M = ou_apply_G(
+        model, t, s, functions.coordinate(0, dim=1), np.array([0.0]), grad=True
+    )[0]
 
     assert abs(C - periodic_kernel_cov_oracle(t, s)) <= 1e-8
     Q_t = evolution_measure(model, t).cov[0, 0]
@@ -461,4 +466,4 @@ def test_apply_G_chunking_matches_single_chunk(rng, n):
     ref_val = f.value(flat).reshape(n, -1) @ w
     ref_grad = np.einsum("nkd,k->nd", f.gradient(flat).reshape(n, -1, 2), w) @ M
     assert np.array_equal(ou_apply_G(model, t, s, f, xs), ref_val)
-    assert np.array_equal(ou_apply_grad_G(model, t, s, f, xs), ref_grad)
+    assert np.array_equal(ou_apply_G(model, t, s, f, xs, grad=True), ref_grad)

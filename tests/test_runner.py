@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from kolmolab import cli, engines, measures, ou, runner, sde
+from kolmolab import engines, measures, ou, runner, sde
 from kolmolab.memo import KINDS
 from kolmolab.scenario import parse_scenario, validate_scenario
 
@@ -103,7 +103,7 @@ def tiny_context(text=TINY_GENERAL):
 def counting_sampler(monkeypatch, fail_first=False):
     """Route the memo's burn-ins through a recorder of their keys."""
     calls = []
-    real = runner.sample_mu
+    real = engines.sample_mu
 
     def sample(spec, t, tol, cfg):
         calls.append((t, tol, cfg))
@@ -111,7 +111,7 @@ def counting_sampler(monkeypatch, fail_first=False):
             raise RuntimeError("burn-in exploded")
         return real(spec, t, tol, cfg)
 
-    monkeypatch.setattr(runner, "sample_mu", sample)
+    monkeypatch.setattr(engines, "sample_mu", sample)
     return calls
 
 
@@ -127,9 +127,9 @@ def test_invariance_pushes_forward_once_per_span(monkeypatch):
     calls = []
     real = runner.invariance_defect
 
-    def defect(obj, s, t, fns, **kw):
+    def defect(engine, s, t, fns, **kw):
         calls.append((s, t, len(fns)))
-        return real(obj, s, t, fns, **kw)
+        return real(engine, s, t, fns, **kw)
 
     monkeypatch.setattr(runner, "invariance_defect", defect)
     ctx = tiny_context()
@@ -170,13 +170,6 @@ def recorder(monkeypatch, owner, name, key):
     return calls
 
 
-def forbid(monkeypatch, owner, name):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{name} called outside the run's engine")
-
-    monkeypatch.setattr(owner, name, refuse)
-
-
 def test_ou_run_computes_each_ingredient_once(monkeypatch):
     monkeypatch.setenv("KOLMOLAB_THREADS", "4")
     fits = recorder(monkeypatch, engines, "estimate_omega0", lambda model: model)
@@ -184,7 +177,8 @@ def test_ou_run_computes_each_ingredient_once(monkeypatch):
         monkeypatch, engines, "evolution_measure", lambda model, t, *rest: t
     )
     kernels = recorder(monkeypatch, ou, "_mehler_moments", lambda m, t, s: (t, s))
-    forbid(monkeypatch, measures, "evolution_measure")
+    # the estimators reach mu_t only through the run's engine
+    assert not hasattr(measures, "evolution_measure")
     report = runner.run_scenario(parse_scenario(TINY_OU))
     assert [e.verdict for e in report.experiments] == ["pass"] * 4
     assert len(fits) == 1
@@ -202,7 +196,7 @@ def test_ou_run_computes_each_ingredient_once(monkeypatch):
 
 def test_flow_fits_omega_once(monkeypatch):
     fits = recorder(monkeypatch, engines, "estimate_omega0", lambda model: model)
-    forbid(monkeypatch, measures, "evolution_measure")
+    assert not hasattr(measures, "evolution_measure")
     ctx = tiny_context(TINY_OU)
     exp = next(e for e in ctx.scn.experiments if e.kind == "flow")
     rows = runner._run_flow(ctx, exp)
@@ -264,9 +258,10 @@ def test_concurrent_requests_share_one_measure(monkeypatch):
 
 def test_cached_clouds_are_shared_and_read_only():
     ctx = tiny_context()
+    exp = ctx.scn.experiments[0]
     cfg = sde.SimConfig(dt=2e-2, n_paths=64, seed=3)
-    a = ctx.sample_mu(ctx.spec, 1.0, 1e-3, cfg)
-    assert ctx.sample_mu(ctx.spec, 1.0, 1e-3, cfg) is a
+    a = ctx.engine(exp).cloud(1.0, 1e-3, cfg)
+    assert ctx.engine(exp).cloud(1.0, 1e-3, cfg) is a
     assert not a.samples.flags.writeable
     with pytest.raises(ValueError):
         a.samples[0, 0] = 0.0
@@ -274,15 +269,16 @@ def test_cached_clouds_are_shared_and_read_only():
 
 def test_concurrent_requests_share_one_burn_in(monkeypatch):
     ctx = tiny_context()
+    exp = ctx.scn.experiments[0]
     calls = []
-    real = runner.sample_mu
+    real = engines.sample_mu
 
     def slow_sample(spec, t, tol, cfg):
         calls.append(t)
         time.sleep(0.01)  # let the other workers reach the memo meanwhile
         return real(spec, t, tol, cfg)
 
-    monkeypatch.setattr(runner, "sample_mu", slow_sample)
+    monkeypatch.setattr(engines, "sample_mu", slow_sample)
     cfg = sde.SimConfig(dt=2e-2, n_paths=16, seed=1)
     results = []
     old = sys.getswitchinterval()
@@ -290,7 +286,7 @@ def test_concurrent_requests_share_one_burn_in(monkeypatch):
     try:
         workers = [
             threading.Thread(
-                target=lambda: results.append(ctx.sample_mu(ctx.spec, 0.5, 1e-3, cfg))
+                target=lambda: results.append(ctx.engine(exp).cloud(0.5, 1e-3, cfg))
             )
             for _ in range(8)
         ]
@@ -326,11 +322,3 @@ def test_failed_burn_in_is_an_error_verdict_and_releases_its_key(monkeypatch):
     assert lsi.verdict == "pass" and invariance.verdict == "pass"
     assert calls[0] == calls[1]
     assert reports[0].verdict == "fail"
-
-
-def test_bad_parameter_value_is_an_error_verdict(capsys):
-    code = cli.main(["lsi", "ou_const", "--set", "n=abc"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "[lsi] lsi: error" in out
-    assert "error: ValueError: invalid literal for int()" in out
