@@ -44,7 +44,9 @@ Everything is driven by one two-parameter family ``U``:
   matrix instead.
 
 Gaussian expectations use tensorized Gauss-Hermite quadrature (default order
-64 per dimension, desk scale d <= 3).
+64 per dimension, desk scale d <= 3), pruned to the nodes of weight at least
+1e-20: the dropped nodes hold at most 3e-19 of the unit mass for d <= 2 and
+2e-17 for d = 3, and at d = 2, order 64, 1600 of the 4096 nodes remain.
 """
 
 from __future__ import annotations
@@ -92,10 +94,16 @@ def sqrtm_psd(M):
 
 @lru_cache(maxsize=32)
 def gauss_hermite_rule(dim, order):
-    """Tensorized Gauss-Hermite rule normalized for standard normals.
+    """Tensorized Gauss-Hermite rule normalized for standard normals, pruned
+    by weight.
 
-    Returns (z, w) with z of shape (order**dim, dim) and weights summing to
-    one, so that E[h(N(0, I))] ~= sum_k w_k h(sqrt(2) z_k).
+    Returns (z, w) such that E[h(N(0, I))] ~= sum_k w_k h(sqrt(2) z_k).  Of
+    the order**dim tensor nodes only those with weight at least _MIN_WEIGHT
+    are kept, in tensor order and without renormalizing, so z has shape
+    (kept, dim) and the weights sum to one up to the dropped mass: at most
+    3e-19 for d <= 2 and 2e-17 for d = 3 (orders up to 64), below the
+    rounding error of a sum over the rule.  At d = 2 and order 64 this keeps
+    1600 of 4096 nodes.
     """
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     weights = weights / math.sqrt(math.pi)
@@ -105,6 +113,8 @@ def gauss_hermite_rule(dim, order):
     wg = np.meshgrid(*([weights] * dim), indexing="ij")
     for g in wg:
         w = w * g.ravel()
+    keep = w >= _MIN_WEIGHT
+    z, w = z[keep], w[keep]
     z.setflags(write=False)
     w.setflags(write=False)
     return z, w
@@ -149,6 +159,11 @@ class GaussianMeasure:
     mean: np.ndarray
     cov: np.ndarray
     t: Optional[float] = None
+    # factorizations of cov, computed once: every rule, sample and density
+    # evaluation of the measure reuses them
+    _sqrt_cov: np.ndarray = field(init=False, repr=False, compare=False)
+    _precision: np.ndarray = field(init=False, repr=False, compare=False)
+    _pdf_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # The measure owns read-only copies: one mu_t serves every
@@ -169,18 +184,22 @@ class GaussianMeasure:
             raise DomainError(
                 f"covariance must be positive definite (min eigenvalue {w[0]:.3e})"
             )
+        root, prec = sqrtm_psd(cov), np.linalg.inv(cov)
+        root.flags.writeable = False
+        prec.flags.writeable = False
+        object.__setattr__(self, "_sqrt_cov", root)
+        object.__setattr__(self, "_precision", prec)
+        norm = (2.0 * math.pi) ** (-self.dim / 2.0) / math.sqrt(np.linalg.det(cov))
+        object.__setattr__(self, "_pdf_norm", norm)
 
     @property
     def dim(self):
         return self.mean.shape[0]
 
-    def _sqrt_cov(self):
-        return sqrtm_psd(self.cov)
-
     def rule(self, order=64):
         """(points, weights) of the Gauss-Hermite rule, ``order`` per axis."""
         z, w = gauss_hermite_rule(self.dim, order)
-        pts = self.mean + math.sqrt(2.0) * (z @ self._sqrt_cov().T)
+        pts = self.mean + math.sqrt(2.0) * (z @ self._sqrt_cov.T)
         return pts, w
 
     def expectation(self, f, order=64):
@@ -211,17 +230,13 @@ class GaussianMeasure:
     def sample(self, n, seed=0):
         rng = np.random.Generator(np.random.Philox(key=int(seed)))
         z = rng.standard_normal((int(n), self.dim))
-        return self.mean + z @ self._sqrt_cov().T
+        return self.mean + z @ self._sqrt_cov.T
 
     def pdf(self, x):
         xb, single = as_batch(x, self.dim)
         dev = xb - self.mean
-        prec = np.linalg.inv(self.cov)
-        quad = np.einsum("ni,ij,nj->n", dev, prec, dev)
-        norm = (2.0 * math.pi) ** (-self.dim / 2.0) / math.sqrt(
-            np.linalg.det(self.cov)
-        )
-        out = norm * np.exp(-0.5 * quad)
+        quad = np.einsum("ni,ij,nj->n", dev, self._precision, dev)
+        out = self._pdf_norm * np.exp(-0.5 * quad)
         return out[0] if single else out
 
     def as_dict(self):
@@ -490,6 +505,12 @@ def _mehler_moments(model, t, s, rtol=1e-10):
 # values (1 MB of float64), so memory stays flat as the node count grows
 # with the dimension.  Every point still sums over all its nodes at once.
 _CHUNK_VALUES = 1 << 17
+
+# Tensor Gauss-Hermite nodes lighter than this are dropped from the rule
+# (Jaeckel, "A note on multivariate Gauss-Hermite quadrature", 2005): far
+# out in the corners of the grid, together they carry less mass than a sum
+# over the rule rounds away.
+_MIN_WEIGHT = 1e-20
 
 
 def _kernel_offsets(model, t, s, order, memo):
