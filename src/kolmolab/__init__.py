@@ -61,6 +61,7 @@ from .sde import (
     grid_lipschitz,
     eps_dt,
     jacobian_bound_violations,
+    jacobian_certificate,
 )
 from .measures import (
     EmpiricalMeasure,
@@ -145,6 +146,7 @@ __all__ = [
     "grid_lipschitz",
     "eps_dt",
     "jacobian_bound_violations",
+    "jacobian_certificate",
     # measures
     "EmpiricalMeasure",
     "Defect",

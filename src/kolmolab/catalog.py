@@ -96,6 +96,7 @@ def _diag_ou(name, dim, rate_fn, noise, load_fn, interval_start, r0):
         Lambda=q,
         r0=r0,
         name=name,
+        affine_drift=True,
     )
     return spec, model
 

@@ -143,6 +143,8 @@ class ProblemSpec:
     ``Q(t)`` returns the (d, d) diffusion matrix, ``b`` and ``jac_b`` follow
     the batch convention in the module docstring.  ``interval_start`` is the
     left endpoint of the open time interval; use ``-inf`` for the whole line.
+    ``affine_drift`` declares b affine in x, so that jac_b(t, x) does not
+    depend on x; only the builders of linear specs set it.
     """
 
     dim: int
@@ -154,6 +156,7 @@ class ProblemSpec:
     Lambda: float
     r0: float
     name: str = ""
+    affine_drift: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -210,8 +213,9 @@ def reflect_time(spec, pivot):
     ``reflect_time(spec, s + t)`` over [s, t] produces exactly that sweep.
     For autonomous coefficients the reflected problem is the original one.
 
-    The declared constants carry over unchanged -- hypotheses (i), (ii) and
-    (iv) only constrain the coefficient values, not how the clock is read.
+    The declared constants and ``affine_drift`` carry over unchanged --
+    hypotheses (i), (ii) and (iv) only constrain the coefficient values, not
+    how the clock is read.
     The reflected spec has no left time endpoint; callers must keep the swept
     coefficient window ``pivot - [s, t]`` inside the original interval.
     """

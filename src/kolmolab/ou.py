@@ -320,6 +320,7 @@ class OUModel:
             Lambda=Lambda if Lambda is not None else hi,
             r0=r0 if r0 is not None else rate,
             name=name if name is not None else (self.name or "ou"),
+            affine_drift=True,
         )
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kolmolab import functions
+from kolmolab import catalog, functions
 from kolmolab.errors import (
     CertificateUnavailableError,
     DomainError,
@@ -418,11 +418,25 @@ def test_check_gradients_flags_wrong_gradient():
 
 @pytest.mark.parametrize("name", ["cubic_dissipative", "double_well_shifted"])
 def test_cubic_drift_matches_power_form(name):
-    from kolmolab import catalog
-
     bundle = catalog.get(name)
     p = bundle.params
     x = np.linspace(-6.0, 6.0, 2001)[:, None]
     y = x - p.get("center", 0.0)
     ref = -p["lin"] * y - p["cub"] * y**3
     assert np.allclose(bundle.spec.drift(0.0, x), ref, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_only_linear_specs_declare_an_affine_drift(name):
+    bundle = catalog.get(name)
+    linear = name not in ("cubic_dissipative", "double_well_shifted")
+    assert (bundle.model is not None) is linear
+    assert bundle.spec.affine_drift is linear
+    assert reflect_time(bundle.spec, 1.0).affine_drift is linear
+    if linear:
+        assert bundle.model.as_problem_spec().affine_drift is True
+
+
+def test_hand_built_spec_has_no_affine_drift():
+    # even a linear one: only the builders of linear specs declare it
+    assert linear_scalar_spec().affine_drift is False

@@ -5,9 +5,11 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from kolmolab import engines, measures, ou, runner, sde
+from kolmolab.catalog import ScenarioBundle
 from kolmolab.memo import KINDS
 from kolmolab.scenario import parse_scenario, validate_scenario
 
@@ -139,6 +141,59 @@ def test_invariance_pushes_forward_once_per_span(monkeypatch):
     # rows keep the declared case order: spans alternate
     assert [r.t for r in rows] == [0.5, 1.0, 0.5, 1.0]
     assert [r.verdict for r in rows] == ["pass"] * 4
+
+
+SIMULATE = """\
+scenario sim
+  catalog {catalog}
+  kind general
+  sim
+    dt {dt}
+    paths 64
+    seed 5
+  end
+  experiment simulate
+    spans {spans}
+  end
+end
+"""
+
+
+@pytest.mark.parametrize("catalog, runs", [("cubic_dissipative", 2), ("ou_const", 0)])
+def test_simulate_runs_paths_only_for_state_dependent_jacobians(
+    monkeypatch, catalog, runs
+):
+    calls = []
+    real = sde.simulate
+
+    def simulate(spec, s, t, x, cfg=None, with_jacobians=True):
+        calls.append((s, t))
+        return real(spec, s, t, x, cfg, with_jacobians)
+
+    monkeypatch.setattr(sde, "simulate", simulate)
+    ctx = tiny_context(SIMULATE.format(catalog=catalog, dt=2e-2, spans="[0.5, 1.0]"))
+    rows = runner._run_simulate(ctx, ctx.scn.experiments[0])
+    assert calls == [(0.0, 0.5), (0.0, 1.0)][:runs]
+    assert [r.verdict for r in rows] == ["pass", "info", "info"] * 2
+
+
+def test_unstable_linear_euler_step_ends_as_error_verdict():
+    # h * rate = 5 > 2, so the Euler step multiplies by -4 and overflows
+    # within the span, while the declared r0 = -1 passes check_against
+    # (dt * |r0| = 0.1 < 0.5)
+    model = ou.OUModel(
+        dim=1,
+        A=lambda t: -50.0 * np.eye(1),
+        B=lambda t: np.sqrt(2.0) * np.eye(1),
+        name="stiff",
+    )
+    scn = parse_scenario(SIMULATE.format(catalog="ou_const", dt=0.1, spans="[60.0]"))
+    bundle = ScenarioBundle("stiff", model.as_problem_spec(r0=-1.0), model, {})
+    ctx = runner.RunContext(scn=scn, bundle=bundle, cfg=runner._build_cfg(scn))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = runner._run_one(ctx, scn.experiments[0])
+    assert rep.verdict == "error"
+    assert rep.error.startswith("BlowUpError")
 
 
 def test_reports_do_not_depend_on_worker_count(tmp_path, monkeypatch):

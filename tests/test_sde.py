@@ -8,7 +8,7 @@ import pytest
 from kolmolab import catalog, functions, sde
 from kolmolab.errors import BlowUpError, DomainError
 from kolmolab.model import ProblemSpec, reflect_time
-from kolmolab.ou import sqrtm_psd
+from kolmolab.ou import OUModel, sqrtm_psd
 
 
 # ----------------------------------------------------------------------
@@ -157,6 +157,49 @@ def test_jacobian_bound_semi_implicit(cubic_bundle):
     paths = sde.simulate(cubic_bundle.spec, 0.0, 1.0, np.array([0.5]), cfg)
     violations, _, _ = sde.jacobian_bound_violations(cubic_bundle.spec, paths)
     assert violations == 0
+
+
+def noncommuting_spec():
+    """A d = 2 linear drift whose A(t) at different times do not commute."""
+    model = OUModel(
+        dim=2,
+        A=lambda t: np.array(
+            [[-2.0 - math.sin(t), 1.0], [0.0, -1.0 - 0.5 * math.cos(t)]]
+        ),
+        B=lambda t: math.sqrt(2.0) * np.eye(2),
+        name="triangular",
+    )
+    return model.as_problem_spec()
+
+
+LINEAR_SPECS = {
+    "ou_const": lambda: catalog.get("ou_const").spec,
+    "ou_periodic_d2": lambda: catalog.get("ou_periodic", dim=2).spec,
+    "triangular_d2": noncommuting_spec,
+    # r0 = -3 overclaims the contraction of rate 1: every path violates
+    "overclaimed_r0": lambda: OUModel(
+        dim=1, A=lambda t: -np.eye(1), B=lambda t: math.sqrt(2.0) * np.eye(1)
+    ).as_problem_spec(r0=-3.0),
+}
+
+
+@pytest.mark.parametrize("scheme", sde._SCHEMES)
+@pytest.mark.parametrize("name", LINEAR_SPECS)
+def test_jacobian_certificate_equals_the_simulated_one(name, scheme, monkeypatch):
+    # the one-row Jacobian of a linear drift against the full ensemble, bit
+    # for bit; the second span ends off the dt grid, so a short last step runs
+    spec = LINEAR_SPECS[name]()
+    cfg = sde.SimConfig(dt=1e-3, n_paths=300, seed=3, scheme=scheme)
+    x = np.full(spec.dim, 0.4)
+    spans = ((0.0, 0.5), (0.25, 0.9505))
+    full = [
+        sde.jacobian_bound_violations(spec, sde.simulate(spec, s, t, x, cfg))
+        for s, t in spans
+    ]
+    monkeypatch.setattr(sde, "simulate", None)  # no path may be simulated
+    assert [sde.jacobian_certificate(spec, s, t, x, cfg) for s, t in spans] == full
+    expected = cfg.n_paths if name == "overclaimed_r0" else 0
+    assert [v for v, _, _ in full] == [expected, expected]
 
 
 def test_eps_dt_scales_linearly(ou_const_bundle):
