@@ -76,29 +76,7 @@ def _diag_ou(name, dim, rate_fn, noise, load_fn, interval_start, r0):
         interval_start=interval_start,
         name=name,
     )
-
-    def b(t, x):
-        out = -rate_fn(t) * x
-        if load_fn is not None:
-            out = out + load_fn(t)
-        return out
-
-    def jac_b(t, x):
-        return np.broadcast_to(-rate_fn(t) * eye, (x.shape[0], dim, dim)).copy()
-
-    spec = ProblemSpec(
-        dim=dim,
-        interval_start=interval_start,
-        Q=lambda t: q * eye,
-        b=b,
-        jac_b=jac_b,
-        eta0=q,
-        Lambda=q,
-        r0=r0,
-        name=name,
-        affine_drift=True,
-    )
-    return spec, model
+    return model.as_problem_spec(eta0=q, Lambda=q, r0=r0, name=name), model
 
 
 def _build_ou_const(name, p):

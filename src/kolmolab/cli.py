@@ -1,7 +1,7 @@
 """Command-line front end.
 
     kolmolab run <scenario.scn> [--seed N --paths N --dt H --out DIR --tol T]
-    kolmolab <audit|simulate|measure|lsi|poincare|hyper|decay|limit> <target>
+    kolmolab <kind> <target>       (one per scenario.EXPERIMENT_KINDS)
     kolmolab list-catalog
 
 ``<target>`` is a scenario file or a built-in catalog entry name.  The
@@ -25,6 +25,7 @@ from ._version import __version__
 from .errors import DomainError, KolmolabError, ScenarioError
 from .runner import run_scenario, write_report
 from .scenario import (
+    EXPERIMENT_KINDS,
     ExperimentDecl,
     Overrides,
     Scenario,
@@ -32,19 +33,6 @@ from .scenario import (
     _tokenize,
     apply_overrides,
     load_scenario,
-)
-
-_KIND_COMMANDS = (
-    "audit",
-    "simulate",
-    "measure",
-    "invariance",
-    "flow",
-    "lsi",
-    "poincare",
-    "hyper",
-    "decay",
-    "limit",
 )
 
 
@@ -69,7 +57,7 @@ def _build_parser():
     run_p.add_argument("target", help="scenario file (or catalog entry name)")
     _common_flags(run_p)
 
-    for kind in _KIND_COMMANDS:
+    for kind in EXPERIMENT_KINDS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment only")
         p.add_argument("target", help="scenario file or catalog entry name")
         p.add_argument(
@@ -108,6 +96,16 @@ def _load_target(target):
     raise ScenarioError(
         f"{target!r} is neither a scenario file nor a catalog entry; "
         f"known entries: {', '.join(catalog.names())}"
+    )
+
+
+def _target_with_overrides(args):
+    """The target's scenario with the --seed/--paths/--dt/--out/--tol flags."""
+    return apply_overrides(
+        _load_target(args.target),
+        Overrides(
+            seed=args.seed, paths=args.paths, dt=args.dt, out=args.out, tol=args.tol
+        ),
     )
 
 
@@ -161,13 +159,7 @@ def _cmd_list_catalog(stream):
 
 
 def _cmd_run(args, stream):
-    scn = _load_target(args.target)
-    scn = apply_overrides(
-        scn,
-        Overrides(
-            seed=args.seed, paths=args.paths, dt=args.dt, out=args.out, tol=args.tol
-        ),
-    )
+    scn = _target_with_overrides(args)
     report = run_scenario(scn)
     out_dir = scn.out_dir or "out"
     path = write_report(report, out_dir)
@@ -177,13 +169,7 @@ def _cmd_run(args, stream):
 
 
 def _cmd_kind(kind, args, stream):
-    scn = _load_target(args.target)
-    scn = apply_overrides(
-        scn,
-        Overrides(
-            seed=args.seed, paths=args.paths, dt=args.dt, out=args.out, tol=args.tol
-        ),
-    )
+    scn = _target_with_overrides(args)
     params = dict(_parse_assignment(a) for a in args.assignments)
     declared = [e for e in scn.experiments if e.kind == kind]
     if declared:
@@ -211,13 +197,7 @@ def main(argv=None):
         if args.command == "run":
             return _cmd_run(args, stream)
         return _cmd_kind(args.command, args, stream)
-    except ScenarioError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 2
-    except DomainError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ScenarioError, DomainError, OSError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
     except KolmolabError as exc:

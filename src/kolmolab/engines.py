@@ -8,7 +8,8 @@ The inequality suites only need a tiny surface:
 * ``grad_G_at(s, t, f, xs)``           -- (gradients, variance per component),
 * ``memo``                             -- a :class:`~kolmolab.memo.Memo`,
 * ``kind``                             -- "analytic" or "mc",
-* declared constants ``eta0, Lambda, r0``.
+* ``spec``                             -- the :class:`~kolmolab.model.ProblemSpec`,
+* its declared constants ``eta0, Lambda, r0``.
 
 Both kinds of measure share one surface too: ``mu.rule(order)`` gives
 (points, weights) -- Gauss-Hermite nodes for a Gaussian, the samples and
@@ -54,18 +55,18 @@ __all__ = [
 
 
 class AnalyticOUEngine:
-    """Quadrature-exact evaluation for linear models."""
+    """Quadrature-exact evaluation for linear models; ``spec`` is the
+    model's :class:`~kolmolab.model.ProblemSpec` with its declared
+    constants."""
 
     kind = "analytic"
 
-    def __init__(
-        self, model, eta0=None, Lambda=None, r0=None, tol=1e-8, order=64, memo=None
-    ):
+    def __init__(self, model, spec, tol=1e-8, order=64, memo=None):
         self.model = model
-        lo, hi = model.ellipticity()
-        self.eta0 = eta0 if eta0 is not None else lo
-        self.Lambda = Lambda if Lambda is not None else hi
-        self.r0 = r0 if r0 is not None else model.dissipativity_rate()
+        self.spec = spec
+        self.eta0 = spec.eta0
+        self.Lambda = spec.Lambda
+        self.r0 = spec.r0
         self.tol = tol
         self.order = order
         self.memo = Memo() if memo is None else memo
@@ -214,13 +215,7 @@ def engine_for(
         )
     if bundle.model is not None and kind != "general":
         return AnalyticOUEngine(
-            bundle.model,
-            eta0=bundle.spec.eta0,
-            Lambda=bundle.spec.Lambda,
-            r0=bundle.spec.r0,
-            tol=tol,
-            order=order,
-            memo=memo,
+            bundle.model, bundle.spec, tol=tol, order=order, memo=memo
         )
     return MonteCarloEngine(bundle.spec, cfg=cfg, memo=memo, **mc_kwargs)
 

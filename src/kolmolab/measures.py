@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import io as _stdio
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -32,13 +32,7 @@ from .errors import DomainError, HorizonError, UnboundedFunctionError
 from .functions import bounded_test_family
 from .io import atomic_write_text
 from .model import apply_generator, reflect_time
-from .ou import (
-    _COMPACT_NODES,
-    GaussianMeasure,
-    _is_compactly_flat,
-    _simpson_gaussian,
-    ou_apply_G,
-)
+from .ou import GaussianMeasure, ou_apply_G
 
 __all__ = [
     "EmpiricalMeasure",
@@ -246,31 +240,6 @@ def tightness_profile(mu, radii):
     return np.array([float(np.mean(r > R)) for R in radii])
 
 
-def _ou_generator_mean(model, r, f, mu, order):
-    """int A(r) f d mu for a linear model, by quadrature.
-
-    A(r) f vanishes outside the support of a compactly flat f (its
-    derivatives are zero where f is constant), so the Simpson route applies
-    there as well.
-    """
-    Am = model.A_mat(r)
-    Bm = model.B_mat(r)
-    Q = 0.5 * Bm @ Bm.T
-    gv = model.g_vec(r)
-
-    def gen_vals(pts):
-        H = f.hessian(pts)
-        grads = f.gradient(pts)
-        drift = pts @ Am.T + gv
-        return np.einsum("ij,nji->n", Q, H) + np.einsum("ni,ni->n", drift, grads)
-
-    if _is_compactly_flat(f, mu.dim):
-        n = _COMPACT_NODES[mu.dim]
-        return _simpson_gaussian(mu, gen_vals, float(f.meta.support_radius), n)
-    pts, w = mu.rule(order)
-    return float(w @ gen_vals(pts))
-
-
 def flow_derivative_defect(engine, f, r, h=1e-2, cfg=None, order=64):
     """Defect of d/dr m_r(f) = -m_r(A(r) f) via a central difference.
 
@@ -295,7 +264,7 @@ def flow_derivative_defect(engine, f, r, h=1e-2, cfg=None, order=64):
         mu_0 = engine.measure(r)
         m_p, e_p = mu_p.expectation(f, order)
         m_m, e_m = mu_m.expectation(f, order)
-        gen = _ou_generator_mean(engine.model, r, f, mu_0, order)
+        gen = mu_0.expectation(_GeneratorValues(engine.spec, r, f), order)[0]
         diff = (m_p - m_m) / (2.0 * h)
         tol = (e_p + e_m) / (2.0 * h) + 1e-9
         return Defect(value=abs(diff + gen), tolerance=tol, lhs=diff, rhs=-gen)
@@ -335,10 +304,15 @@ def flow_derivative_defect(engine, f, r, h=1e-2, cfg=None, order=64):
 
 
 class _GeneratorValues:
-    """Adapter exposing x -> (A(r) f)(x) with the batch-value interface."""
+    """Adapter exposing x -> (A(r) f)(x) with the batch-value interface.
+
+    Its ``meta`` is f's with outside value 0: A(r) f vanishes where f is
+    constant, so a Gaussian integrates a compactly flat A(r) f on the
+    support box of f."""
 
     def __init__(self, spec, r, f):
         self.spec, self.r, self.f = spec, r, f
+        self.meta = replace(f.meta, outside_value=0.0)
 
     def value(self, x):
         return apply_generator(self.spec, self.r, self.f, x)

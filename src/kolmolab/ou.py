@@ -298,8 +298,14 @@ class OUModel:
         return worst
 
     def as_problem_spec(self, eta0=None, Lambda=None, r0=None, name=None):
-        lo, hi = self.ellipticity()
-        rate = self.dissipativity_rate()
+        """The model as a :class:`ProblemSpec`; a constant not given is
+        measured (``ellipticity``, ``dissipativity_rate``)."""
+        if eta0 is None or Lambda is None:
+            lo, hi = self.ellipticity()
+            eta0 = lo if eta0 is None else eta0
+            Lambda = hi if Lambda is None else Lambda
+        if r0 is None:
+            r0 = self.dissipativity_rate()
         model = self
 
         def b(t, x):
@@ -316,9 +322,9 @@ class OUModel:
             Q=lambda t: 0.5 * model.B_mat(t) @ model.B_mat(t).T,
             b=b,
             jac_b=jac_b,
-            eta0=eta0 if eta0 is not None else lo,
-            Lambda=Lambda if Lambda is not None else hi,
-            r0=r0 if r0 is not None else rate,
+            eta0=eta0,
+            Lambda=Lambda,
+            r0=r0,
             name=name if name is not None else (self.name or "ou"),
             affine_drift=True,
         )

@@ -313,10 +313,7 @@ def grid_lipschitz(spec, grid=None):
     worst = 0.0
     for tk in grid.ts:
         J = spec.drift_jacobian(tk, grid.xs)
-        if J.shape[1] == 1:
-            worst = max(worst, float(np.max(np.abs(J))))
-        else:
-            worst = max(worst, float(np.max(np.linalg.svd(J, compute_uv=False))))
+        worst = max(worst, float(np.max(_spectral_norms(J))))
     return worst
 
 

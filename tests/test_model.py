@@ -25,6 +25,7 @@ from kolmolab.model import (
     default_audit_grid,
     reflect_time,
 )
+from kolmolab.ou import OUModel
 
 
 def scalar_spec(b, jac_b, r0, Q=None, interval_start=-math.inf, name="test"):
@@ -440,3 +441,43 @@ def test_only_linear_specs_declare_an_affine_drift(name):
 def test_hand_built_spec_has_no_affine_drift():
     # even a linear one: only the builders of linear specs declare it
     assert linear_scalar_spec().affine_drift is False
+
+
+def test_as_problem_spec_measures_only_missing_constants(monkeypatch):
+    model = catalog.get("ou_periodic").model
+
+    def unasked(*args, **kwargs):
+        raise AssertionError("a given constant was measured")
+
+    monkeypatch.setattr(OUModel, "ellipticity", unasked)
+    monkeypatch.setattr(OUModel, "dissipativity_rate", unasked)
+    spec = model.as_problem_spec(eta0=0.5, Lambda=2.0, r0=-1.0, name="given")
+    assert (spec.eta0, spec.Lambda, spec.r0, spec.name) == (0.5, 2.0, -1.0, "given")
+
+
+@pytest.mark.parametrize(
+    "name, overrides, rate, load",
+    [
+        ("ou_const", {"load": 0.5}, lambda p, t: p["rate"], 0.5),
+        (
+            "ou_periodic",
+            {"dim": 2},
+            lambda p, t: p["base"] + p["amp"] * math.sin(p["freq"] * t),
+            0.0,
+        ),
+    ],
+    ids=["ou_const", "ou_periodic"],
+)
+def test_diagonal_ou_coefficients_are_exact(name, overrides, rate, load):
+    bundle = catalog.get(name, **overrides)
+    p, spec = bundle.params, bundle.spec
+    d = int(p["dim"])
+    q = 0.5 * p["noise"] ** 2
+    grids = np.meshgrid(*([np.linspace(-5.0, 5.0, 41)] * d), indexing="ij")
+    x = np.stack([g.ravel() for g in grids], axis=-1)
+    for t in (-3.0, 0.0, 0.7, 2.5):
+        r = rate(p, t)
+        assert np.array_equal(spec.drift(t, x), -r * x + load)
+        jac = np.broadcast_to(-r * np.eye(d), (x.shape[0], d, d))
+        assert np.array_equal(spec.drift_jacobian(t, x), jac)
+        assert np.array_equal(spec.diffusion(t), q * np.eye(d))

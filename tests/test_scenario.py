@@ -1,10 +1,11 @@
 """Scenario file parsing, validation, and override layering."""
 
+import argparse
 import textwrap
 
 import pytest
 
-from kolmolab import runner
+from kolmolab import cli, runner
 from kolmolab.errors import ScenarioError
 from kolmolab.scenario import (
     EXPERIMENT_KINDS,
@@ -205,6 +206,16 @@ def test_validate_returns_bundle():
 def test_experiment_kinds_frozen():
     assert len(EXPERIMENT_KINDS) == 10
     assert set(EXPERIMENT_KINDS) >= {"audit", "lsi", "hyper", "decay", "limit"}
+
+
+def test_each_kind_has_one_runner_and_one_subcommand():
+    assert len(set(EXPERIMENT_KINDS)) == len(EXPERIMENT_KINDS)
+    assert sorted(runner._RUNNERS) == sorted(EXPERIMENT_KINDS)
+    (sub,) = [
+        a for a in cli._build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert sorted(sub.choices) == sorted((*EXPERIMENT_KINDS, "run", "list-catalog"))
 
 
 def test_apply_overrides_layering():
