@@ -59,6 +59,10 @@ class CatalogEntry:
                 f"{self.name!r}; valid: {sorted(params)}"
             )
         params.update({k: float(v) for k, v in overrides.items()})
+        if params["dim"] not in (1, 2, 3):
+            raise ScenarioError(
+                f"{self.name} needs dim 1, 2 or 3, got {params['dim']!r}"
+            )
         return self.builder(self.name, params)
 
 

@@ -18,11 +18,14 @@ Both kinds of measure share one surface too: ``mu.rule(order)`` gives
 
 ``AnalyticOUEngine`` evaluates everything by quadrature against the linear
 model; ``MonteCarloEngine`` propagates clouds with the path simulator, using
-``n_inner`` replicate paths per evaluation point.  Through its memo (a
-run's, when given one) the analytic engine computes its omega fit, measures
-and kernel moments once per key, the Monte Carlo engine its burn-in clouds
-(``cloud(t, tol, cfg)``), and the L^p helpers below compute G(t, s)f and
-its gradient at an engine's outer points once per (s, t, f, order).
+``n_inner`` replicate paths per evaluation point.  The Monte Carlo engine
+alone decides its clouds: ``cloud(t, stream)`` is a burn-in of
+``cloud_size`` paths, and ``push(mu, s, t)`` carries a cloud through the
+kernel of G(t, s); every seed they use is derived here from ``cfg.seed``.
+Through its memo (a run's, when given one) the analytic engine computes its
+omega fit, measures and kernel moments once per key, the Monte Carlo engine
+its burn-in clouds, and the L^p helpers below compute G(t, s)f and its
+gradient at an engine's outer points once per (s, t, f, order).
 The helpers debias the inner-mean plug-in (the first-order Jensen
 correction in the inner variance, zero for the analytic engine) and share
 one core: a quadrature sum with a fixed relative tolerance under weights, a
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import sde
 from .errors import DomainError
-from .measures import sample_mu
+from .measures import EmpiricalMeasure, sample_mu
 from .memo import Memo
 from .model import reflect_time
 from .ou import estimate_omega0, evolution_measure, ou_apply_G
@@ -61,14 +64,13 @@ class AnalyticOUEngine:
 
     kind = "analytic"
 
-    def __init__(self, model, spec, tol=1e-8, order=64, memo=None):
+    def __init__(self, model, spec, tol=1e-8, memo=None):
         self.model = model
         self.spec = spec
         self.eta0 = spec.eta0
         self.Lambda = spec.Lambda
         self.r0 = spec.r0
         self.tol = tol
-        self.order = order
         self.memo = Memo() if memo is None else memo
         # mu_t handed out so far, by time to 12 digits (perfbench's tracer
         # reads it to count first requests)
@@ -91,16 +93,23 @@ class AnalyticOUEngine:
         return mu.rule(order)
 
     def apply_G_at(self, s, t, f, xs):
-        vals = ou_apply_G(self.model, t, s, f, xs, order=self.order, memo=self.memo)
+        vals = ou_apply_G(self.model, t, s, f, xs, memo=self.memo)
         vals = np.atleast_1d(np.asarray(vals, dtype=float))
         return vals, np.zeros_like(vals)
 
     def grad_G_at(self, s, t, f, xs):
-        grads = ou_apply_G(
-            self.model, t, s, f, xs, order=self.order, memo=self.memo, grad=True
-        )
+        grads = ou_apply_G(self.model, t, s, f, xs, memo=self.memo, grad=True)
         grads = np.atleast_2d(np.asarray(grads, dtype=float))
         return grads, np.zeros_like(grads)
+
+
+# Seed offsets from cfg.seed: the burn-in streams of ``cloud`` and the push
+# of a cloud through the kernel of G(t, s).  invariance's mu_s must be a
+# stream of its own, so that its identity does not hold by construction.
+_SEED_OFFSETS = {"mu_t": 0, "mu_s": 7919, "flow_mid": 37, "push": 101}
+
+# Distance-to-equilibrium target of every burn-in (see measures.burn_in_start).
+_BURN_IN_TOL = 1e-3
 
 
 class MonteCarloEngine:
@@ -109,14 +118,7 @@ class MonteCarloEngine:
     kind = "mc"
 
     def __init__(
-        self,
-        spec,
-        cfg=None,
-        cloud_size=8192,
-        n_inner=192,
-        n_outer=2048,
-        mu_tol=1e-3,
-        memo=None,
+        self, spec, cfg=None, cloud_size=8192, n_inner=192, n_outer=2048, memo=None
     ):
         if spec.r0 >= 0.0:
             raise DomainError("Monte Carlo engine needs a dissipative spec (r0 < 0)")
@@ -127,7 +129,6 @@ class MonteCarloEngine:
         # Nested norm estimates subsample the measure cloud to this many
         # outer points (see outer_points).
         self.n_outer = n_outer
-        self.mu_tol = mu_tol
         self.memo = Memo() if memo is None else memo
         self.eta0 = spec.eta0
         self.Lambda = spec.Lambda
@@ -139,17 +140,30 @@ class MonteCarloEngine:
             2**62
         )
 
-    def cloud(self, t, tol, cfg):
-        """:func:`kolmolab.measures.sample_mu`, computed once per memo key."""
-        return self.memo("clouds", sample_mu, self.spec, float(t), float(tol), cfg)
+    def _burn_in(self, t, seed):
+        """:func:`kolmolab.measures.sample_mu` of cloud_size paths on
+        ``seed``, computed once per memo key."""
+        cfg = replace(self.cfg, n_paths=self.cloud_size, seed=seed)
+        return self.memo("clouds", sample_mu, self.spec, float(t), _BURN_IN_TOL, cfg)
+
+    def cloud(self, t, stream="mu_t"):
+        """A burn-in cloud of mu_t from ``stream``, a key of _SEED_OFFSETS."""
+        return self._burn_in(t, self.cfg.seed + _SEED_OFFSETS[stream])
+
+    def push(self, mu, s, t):
+        """The cloud ``mu`` carried from s to t, one path per point, by the
+        kernel of G(t, s): the mirrored-clock flow."""
+        seed = self.cfg.seed + _SEED_OFFSETS["push"]
+        bundle = sde.simulate(
+            reflect_time(self.spec, s + t), s, t, mu.samples,
+            replace(self.cfg, n_paths=mu.n, seed=seed), with_jacobians=False,
+        )
+        return EmpiricalMeasure(samples=bundle.states)
 
     def measure(self, t):
         key = round(float(t), 12)
         if key not in self._measures:
-            cfg = replace(
-                self.cfg, n_paths=self.cloud_size, seed=self._seed_for(1, t)
-            )
-            self._measures[key] = self.cloud(t, self.mu_tol, cfg)
+            self._measures[key] = self._burn_in(t, self._seed_for(1, t))
         return self._measures[key]
 
     def _replicate_means(self, s, t, f, xs, grad):
@@ -196,27 +210,15 @@ class MonteCarloEngine:
         return mu.samples[: self.n_outer], None
 
 
-def engine_for(
-    bundle, cfg=None, tol=1e-8, order=64, kind=None, memo=None, **mc_kwargs
-):
-    """Pick the analytic engine when the bundle has a linear model.
+def engine_for(bundle, cfg=None, tol=1e-8, memo=None, **mc_kwargs):
+    """The analytic engine when the bundle has a linear model, else the
+    Monte Carlo engine.
 
-    ``kind`` forces the choice: "ou" insists on the analytic engine (and
-    raises when the bundle has no linear model), "general" forces Monte
-    Carlo even when a closed form exists (useful for cross-validation).
     The analytic engine ignores ``cfg`` and ``mc_kwargs``.  ``memo`` is
     shared by the engine (default: a memo of its own).
     """
-    if kind not in (None, "ou", "general"):
-        raise DomainError(f"engine kind must be 'ou' or 'general', got {kind!r}")
-    if kind == "ou" and bundle.model is None:
-        raise DomainError(
-            f"bundle {bundle.name!r} has no linear-drift closed form"
-        )
-    if bundle.model is not None and kind != "general":
-        return AnalyticOUEngine(
-            bundle.model, bundle.spec, tol=tol, order=order, memo=memo
-        )
+    if bundle.model is not None:
+        return AnalyticOUEngine(bundle.model, bundle.spec, tol=tol, memo=memo)
     return MonteCarloEngine(bundle.spec, cfg=cfg, memo=memo, **mc_kwargs)
 
 

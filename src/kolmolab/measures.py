@@ -115,12 +115,12 @@ def sample_mu(spec, t, tol=1e-3, cfg=None):
     long mirrored runs forget their start and settle on the time-t member of
     the evolution system (for autonomous drifts this is the plain burn-in).
     """
-    cfg = cfg or sde.SimConfig()
     s0 = burn_in_start(spec, t, tol)
     x0 = np.zeros(spec.dim)
     bundle = sde.simulate(
         reflect_time(spec, 2.0 * t), s0, t, x0, cfg, with_jacobians=False
     )
+    cfg = bundle.cfg
     return EmpiricalMeasure(
         samples=bundle.states,
         t=float(t),
@@ -159,7 +159,7 @@ def mean_functional(mu, f, certificate=None, order=64):
     return mu.expectation(f, order)[0]
 
 
-def invariance_defect(engine, s, t, fns, cfg=None, mu_s=None, mu_t=None, order=64):
+def invariance_defect(engine, s, t, fns, mu_s=None, mu_t=None, order=64):
     """| int G(t,s) f d mu_t - int f d mu_s | with its tolerance, one
     :class:`Defect` per function in ``fns``.
 
@@ -167,10 +167,11 @@ def invariance_defect(engine, s, t, fns, cfg=None, mu_s=None, mu_t=None, order=6
     over mu_t of the kernel-evaluated G(t,s)f, and a plain quadrature of f
     under mu_s), with missing measures from ``engine.measure`` and the
     kernel moments from ``engine.memo`` (see :func:`kolmolab.ou.ou_apply_G`).
-    On the Monte Carlo engine the left side propagates a mu_t-distributed
-    cloud from s to t (one path per sample, shared by all functions) and
-    the right side averages f over an independent mu_s cloud; missing clouds
-    are burn-ins of size and seed ``cfg`` from ``engine.cloud``.
+    On the Monte Carlo engine the left side pushes a mu_t cloud from s to t
+    (``engine.push``: one path per sample, shared by all functions) and the
+    right side averages f over a mu_s cloud; missing clouds are the
+    engine's burn-ins ``engine.cloud(t)`` and ``engine.cloud(s, "mu_s")``,
+    an independent stream.
     """
     if t <= s:
         raise DomainError(f"need s < t, got s={s}, t={t}")
@@ -192,23 +193,8 @@ def invariance_defect(engine, s, t, fns, cfg=None, mu_s=None, mu_t=None, order=6
             )
         return defects
 
-    spec = engine.spec
-    cfg = cfg or sde.SimConfig()
-    mu_t = mu_t or engine.cloud(t, engine.mu_tol, cfg)
-    seed_shift = sde.SimConfig(
-        dt=cfg.dt, n_paths=mu_t.n, seed=cfg.seed + 101, scheme=cfg.scheme
-    )
-    # The cloud is pushed by the kernel of G(t, s): the mirrored-clock flow.
-    bundle = sde.simulate(
-        reflect_time(spec, s + t), s, t, mu_t.samples, seed_shift,
-        with_jacobians=False,
-    )
-    if mu_s is None:
-        cfg_s = sde.SimConfig(
-            dt=cfg.dt, n_paths=cfg.n_paths, seed=cfg.seed + 7919, scheme=cfg.scheme
-        )
-        mu_s = engine.cloud(s, engine.mu_tol, cfg_s)
-    pushed = EmpiricalMeasure(samples=bundle.states)
+    pushed = engine.push(mu_t or engine.cloud(t), s, t)
+    mu_s = mu_s or engine.cloud(s, "mu_s")
     defects = []
     for f in fns:
         lhs, se_l = pushed.expectation(f)
@@ -240,15 +226,15 @@ def tightness_profile(mu, radii):
     return np.array([float(np.mean(r > R)) for R in radii])
 
 
-def flow_derivative_defect(engine, f, r, h=1e-2, cfg=None, order=64):
+def flow_derivative_defect(engine, f, r, h=1e-2, order=64):
     """Defect of d/dr m_r(f) = -m_r(A(r) f) via a central difference.
 
     Only admits functions that are constant outside a compact set (the
     identity is proved for that class); others are refused.  On the
     analytic engine the Gaussians mu_{r-h}, mu_r and mu_{r+h} come from
     ``engine.measure``.  On the Monte Carlo engine the two offset clouds are
-    paired burn-ins of size and seed ``cfg`` to the tolerance
-    ``engine.mu_tol``, and the mu_r cloud comes from ``engine.cloud``.
+    the burn-ins ``engine.cloud(r - h)`` and ``engine.cloud(r + h)``, and the
+    mu_r cloud is ``engine.cloud(r, "flow_mid")``.
     """
     if not f.meta.compact_support:
         raise DomainError(
@@ -269,32 +255,16 @@ def flow_derivative_defect(engine, f, r, h=1e-2, cfg=None, order=64):
         tol = (e_p + e_m) / (2.0 * h) + 1e-9
         return Defect(value=abs(diff + gen), tolerance=tol, lhs=diff, rhs=-gen)
 
-    spec = engine.spec
-    cfg = cfg or sde.SimConfig()
-    span = r - burn_in_start(spec, r, engine.mu_tol)
-    x0 = np.zeros(spec.dim)
-    # Common random numbers: both offset clouds share the seed and span, so
-    # the central difference is a mean of pathwise-paired differences.  Each
-    # burn-in mirrors its clock about its own target time (as sample_mu does).
-    b_p = sde.simulate(
-        reflect_time(spec, 2.0 * (r + h)), r + h - span, r + h, x0, cfg,
-        with_jacobians=False,
-    )
-    b_m = sde.simulate(
-        reflect_time(spec, 2.0 * (r - h)), r - h - span, r - h, x0, cfg,
-        with_jacobians=False,
-    )
-    f_p = np.asarray(f.value(b_p.states), dtype=float)
-    f_m = np.asarray(f.value(b_m.states), dtype=float)
+    # Common random numbers: both offset clouds share the seed and the burn-in
+    # span, so the central difference is a mean of pathwise-paired
+    # differences.  Each burn-in mirrors its clock about its own target time.
+    f_p = np.asarray(f.value(engine.cloud(r + h).samples), dtype=float)
+    f_m = np.asarray(f.value(engine.cloud(r - h).samples), dtype=float)
     pair_diff = (f_p - f_m) / (2.0 * h)
     diff = float(np.mean(pair_diff))
     se_diff = float(np.std(pair_diff, ddof=1) / math.sqrt(pair_diff.shape[0]))
-    cfg_mid = sde.SimConfig(
-        dt=cfg.dt, n_paths=cfg.n_paths, seed=cfg.seed + 37, scheme=cfg.scheme
-    )
-    mu_0 = engine.cloud(r, engine.mu_tol, cfg_mid)
-    gen_vals_fn = _GeneratorValues(spec, r, f)
-    gen, se_gen = mu_0.expectation(gen_vals_fn)
+    mu_0 = engine.cloud(r, "flow_mid")
+    gen, se_gen = mu_0.expectation(_GeneratorValues(engine.spec, r, f))
     return Defect(
         value=abs(diff + gen),
         tolerance=math.hypot(se_diff, se_gen),

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import functions as fb
 from ._version import __version__
-from .engines import engine_for
+from .engines import AnalyticOUEngine, MonteCarloEngine
 from .errors import CertificateUnavailableError, ScenarioError
 from .ineq import (
     ExperimentRow,
@@ -70,6 +70,16 @@ __all__ = ["RunContext", "ExperimentReport", "Report", "run_scenario", "write_re
 
 SCHEMA_VERSION = 1
 
+# Monte Carlo engine sizes (cloud, inner, outer) by experiment kind; an
+# experiment's cloud/inner/outer keys override them.
+_MC_SIZES = {
+    "invariance": (16384, 192, 2048),
+    "flow": (16384, 192, 2048),
+    "hyper": (4096, 96, 1024),
+    "decay": (4096, 96, 1024),
+}
+_MC_DEFAULT_SIZES = (8192, 192, 2048)
+
 
 @dataclass
 class RunContext:
@@ -83,12 +93,11 @@ class RunContext:
     memo: Memo = field(default_factory=Memo, init=False, repr=False)
 
     def __post_init__(self):
-        # engine_for ignores the Monte Carlo arguments for an analytic
-        # bundle, so one analytic engine serves every experiment
+        # one analytic engine serves every experiment
         self._analytic_engine = None
         if self.analytic:
-            self._analytic_engine = engine_for(
-                self.bundle, tol=min(self.scn.tol, 1e-8), memo=self.memo
+            self._analytic_engine = AnalyticOUEngine(
+                self.model, self.spec, tol=min(self.scn.tol, 1e-8), memo=self.memo
             )
 
     @property
@@ -108,19 +117,19 @@ class RunContext:
         """Whether experiments run on the closed-form (OU) engine."""
         return self.model is not None and self.scn.kind != "general"
 
-    def engine(self, exp, heavy=False):
+    def engine(self, exp):
         """The run's analytic engine, or a Monte Carlo engine sized by the
-        experiment; both draw on the run's memo."""
+        experiment's kind and keys; both draw on the run's memo."""
         if self.analytic:
             return self._analytic_engine
-        return engine_for(
-            self.bundle,
+        cloud, inner, outer = _MC_SIZES.get(exp.kind, _MC_DEFAULT_SIZES)
+        return MonteCarloEngine(
+            self.spec,
             cfg=self.cfg,
-            kind=self.scn.kind,
             memo=self.memo,
-            cloud_size=int(exp.params.get("cloud", 4096 if heavy else 8192)),
-            n_inner=int(exp.params.get("inner", 96 if heavy else 192)),
-            n_outer=int(exp.params.get("outer", 1024 if heavy else 2048)),
+            cloud_size=int(exp.params.get("cloud", cloud)),
+            n_inner=int(exp.params.get("inner", inner)),
+            n_outer=int(exp.params.get("outer", outer)),
         )
 
     def default_s(self):
@@ -147,32 +156,18 @@ class Report:
     metadata: dict
 
 
-def _row(ctx, op, value, tolerance, ok, p=None, q=None, t=None, s=None):
-    verdict = "pass" if ok else "fail"
+def _row(ctx, op, value, tolerance, verdict, **where):
+    """One report row.  ``verdict`` is "info", "skip", or whether the check
+    passed; ``where`` holds the row's p, q, t and s."""
+    if not isinstance(verdict, str):
+        verdict = "pass" if verdict else "fail"
     return ExperimentRow(
         scenario=ctx.scn.name,
         op=op,
         value=float(value),
         tolerance=float(tolerance),
         verdict=verdict,
-        p=p,
-        q=q,
-        t=t,
-        s=s,
-    )
-
-
-def _info(ctx, op, value, tolerance=0.0, p=None, q=None, t=None, s=None):
-    return ExperimentRow(
-        scenario=ctx.scn.name,
-        op=op,
-        value=float(value),
-        tolerance=float(tolerance),
-        verdict="info",
-        p=p,
-        q=q,
-        t=t,
-        s=s,
+        **where,
     )
 
 
@@ -211,7 +206,7 @@ def _run_audit(ctx, exp):
     try:
         cert = build_lyapunov_gaussian(ctx.spec)
         rows.append(_row(ctx, "lyapunov_c", cert.c, 0.0, cert.c > 0.0))
-        rows.append(_info(ctx, "lyapunov_a", cert.a))
+        rows.append(_row(ctx, "lyapunov_a", cert.a, 0.0, "info"))
     except CertificateUnavailableError:
         rows.append(_row(ctx, "lyapunov_c", math.nan, 0.0, False))
     return rows
@@ -230,8 +225,12 @@ def _run_simulate(ctx, exp):
         rows.append(
             _row(ctx, "jacobian_violations", viol, 0.0, viol == 0, s=s, t=t)
         )
-        rows.append(_info(ctx, "jacobian_worst_ratio", worst / bound, s=s, t=t))
-        rows.append(_info(ctx, "eps_dt", eps_dt(ctx.spec, cfg.dt), s=s, t=t))
+        rows.append(
+            _row(ctx, "jacobian_worst_ratio", worst / bound, 0.0, "info", s=s, t=t)
+        )
+        rows.append(
+            _row(ctx, "eps_dt", eps_dt(ctx.spec, cfg.dt), 0.0, "info", s=s, t=t)
+        )
     return rows
 
 
@@ -246,13 +245,14 @@ def _run_measure(ctx, exp):
         mu = engine.measure(t)
         outside = tightness_profile(mu, radii)
         for R, frac in zip(radii, outside):
-            rows.append(_info(ctx, f"tightness_outside[R={R:g}]", frac, t=t))
+            op = f"tightness_outside[R={R:g}]"
+            rows.append(_row(ctx, op, frac, 0.0, "info", t=t))
         mean, _ = mu.expectation(fb.coordinate(0, ctx.dim))
-        rows.append(_info(ctx, "measure_mean_x1", mean, t=t))
+        rows.append(_row(ctx, "measure_mean_x1", mean, 0.0, "info", t=t))
         if prev is not None:
             gap = weak_star_gap(prev, mu)
             rows.append(
-                _info(ctx, "weak_star_gap_prev", gap.value, gap.tolerance, t=t)
+                _row(ctx, "weak_star_gap_prev", gap.value, gap.tolerance, "info", t=t)
             )
         prev = mu
         # scenario scalars arrive as strings, so "false"/"off" must not
@@ -274,17 +274,13 @@ def _run_invariance(ctx, exp):
     s0 = float(exp.params.get("s", ctx.default_s()))
     spans = _times(exp.params, "spans", [0.5, 1.0, 2.0])
     n_cases = int(exp.params.get("n", 10))
-    cloud = int(exp.params.get("cloud", 16384))
     fns = fb.bounded_test_family(ctx.dim)
-    cfg = replace(ctx.cfg, n_paths=cloud)
     cases = [(fns[k % len(fns)], spans[k % len(spans)]) for k in range(n_cases)]
     # one call per distinct span: cases that share it share the push-forward
     defects = {}
     for span in dict.fromkeys(span for _, span in cases):
         ks = [k for k, (_, sp) in enumerate(cases) if sp == span]
-        ds = invariance_defect(
-            engine, s0, s0 + span, [cases[k][0] for k in ks], cfg=cfg
-        )
+        ds = invariance_defect(engine, s0, s0 + span, [cases[k][0] for k in ks])
         defects.update(zip(ks, ds))
     rows = []
     for k, (f, span) in enumerate(cases):
@@ -309,13 +305,11 @@ def _run_flow(ctx, exp):
     rs = _times(exp.params, "r", [ctx.default_s() + 1.0])
     h = float(exp.params.get("h", 1e-2))
     n = int(exp.params.get("n", 5))
-    cloud = int(exp.params.get("cloud", 16384))
-    cfg = replace(ctx.cfg, n_paths=cloud)
     fns = fb.compact_flat_battery(ctx.dim, n)
     rows = []
     for r in rs:
         for k, f in enumerate(fns):
-            d = flow_derivative_defect(engine, f, r, h=h, cfg=cfg)
+            d = flow_derivative_defect(engine, f, r, h=h)
             tol = max(100.0 * h * h, 4.0 * d.tolerance)
             rows.append(
                 _row(
@@ -392,7 +386,8 @@ def _run_poincare(ctx, exp):
                 )
             )
         aff = poincare_quotient(mu, fb.affine(np.ones(ctx.dim)), 2.0)
-        rows.append(_info(ctx, "poincare_affine_ratio", aff.quotient / bound, p=2.0, t=t))
+        ratio = aff.quotient / bound
+        rows.append(_row(ctx, "poincare_affine_ratio", ratio, 0.0, "info", p=2.0, t=t))
     for p in ps:
         if p == 2.0:
             continue
@@ -413,7 +408,7 @@ def _run_poincare(ctx, exp):
 
 
 def _run_hyper(ctx, exp):
-    engine = ctx.engine(exp, heavy=True)
+    engine = ctx.engine(exp)
     s = float(exp.params.get("s", ctx.default_s()))
     qs = _times(exp.params, "q", [1.5, 2.0])
     gaps = _times(exp.params, "gaps", [0.25, 0.5, 1.0, 2.0])
@@ -429,12 +424,12 @@ def _run_hyper(ctx, exp):
         res = hyper_check(engine, s, s + gap, f, q)
         if res.skipped:
             rows.append(
-                ExperimentRow(
-                    scenario=ctx.scn.name,
-                    op=f"hyper_check[{_fname(f, k)}]",
-                    value=math.nan,
-                    tolerance=math.nan,
-                    verdict="skip",
+                _row(
+                    ctx,
+                    f"hyper_check[{_fname(f, k)}]",
+                    math.nan,
+                    math.nan,
+                    "skip",
                     p=res.p,
                     q=q,
                     t=s + gap,
@@ -485,7 +480,7 @@ def _decay_family(ctx):
 
 
 def _run_decay(ctx, exp):
-    engine = ctx.engine(exp, heavy=True)
+    engine = ctx.engine(exp)
     s = float(exp.params.get("s", ctx.default_s()))
     ps = _times(exp.params, "p", [1.5, 2.0, 4.0])
     analytic = engine.kind == "analytic"
@@ -503,7 +498,9 @@ def _run_decay(ctx, exp):
         rows.append(
             _row(ctx, "decay_omega_A", fit.omega, 0.1, fit.omega <= r0 + 0.1, p=p, s=s)
         )
-        rows.append(_info(ctx, "decay_residual_A", fit.residual, p=p, s=s))
+        rows.append(
+            _row(ctx, "decay_residual_A", fit.residual, 0.0, "info", p=p, s=s)
+        )
     p_b = float(exp.params.get("p_b", 2.0))
     fit_b = decay_fit_B(engine, s, family, p_b, gaps_b)
     rows.append(
@@ -555,7 +552,7 @@ def _run_limit(ctx, exp):
         if gap.mean_gap is not None:
             metric = max(gap.mean_gap, gap.cov_gap)
         gaps.append(metric)
-        rows.append(_info(ctx, "limit_gap", metric, t=t))
+        rows.append(_row(ctx, "limit_gap", metric, 0.0, "info", t=t))
     increases = np.diff(gaps)
     worst_inc = float(np.max(increases)) if increases.size else 0.0
     rows.append(

@@ -23,7 +23,7 @@ complete grammar (also documented in the README):
         scheme euler | semi_implicit_drift
       end
       experiment <kind> [<name>]  # repeatable; executed in declared order
-        <key> <value>             # per-experiment parameters
+        <key> <value>             # parameters: the keys its kind reads
       end
     end
 
@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from . import catalog
+from . import catalog, sde
 from .errors import ScenarioError
 
 __all__ = [
@@ -53,22 +53,25 @@ __all__ = [
     "EXPERIMENT_KINDS",
 ]
 
-EXPERIMENT_KINDS = (
-    "audit",
-    "simulate",
-    "measure",
-    "invariance",
-    "flow",
-    "lsi",
-    "poincare",
-    "hyper",
-    "decay",
-    "limit",
-)
+# The keys each experiment kind reads; validation rejects any other.  Every
+# kind that evaluates on an engine also reads the Monte Carlo engine sizes.
+_ENGINE_KEYS = ("cloud", "inner", "outer")
+_EXPERIMENT_KEYS = {
+    "audit": (),
+    "simulate": ("s", "spans", "paths"),
+    "measure": ("times", "t", "radii", "export", *_ENGINE_KEYS),
+    "invariance": ("s", "spans", "n", *_ENGINE_KEYS),
+    "flow": ("r", "h", "n", *_ENGINE_KEYS),
+    "lsi": ("t", "p", "n", *_ENGINE_KEYS),
+    "poincare": ("t", "p", *_ENGINE_KEYS),
+    "hyper": ("s", "q", "gaps", "n", "curve_gaps", *_ENGINE_KEYS),
+    "decay": ("s", "p", "gaps_a", "gaps_b", "p_b", *_ENGINE_KEYS),
+    "limit": ("times", "t_inf", "tol_final", "slack", *_ENGINE_KEYS),
+}
+EXPERIMENT_KINDS = tuple(_EXPERIMENT_KEYS)
 
 _CONSTANT_KEYS = ("eta0", "Lambda", "r0")
 _SIM_KEYS = ("dt", "paths", "seed", "scheme")
-_SCHEMES = ("euler", "semi_implicit_drift")
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,9 @@ def _tokenize(line, lineno):
             continue
         col = i + 1
         if ch == '"':
-            j = line.index('"', i + 1)  # guaranteed by _strip_comment
+            j = line.find('"', i + 1)
+            if j < 0:
+                _err("unterminated string", line=lineno, column=col)
             tokens.append(_Token(line[i + 1 : j], col, quoted=True))
             i = j + 1
         elif ch == "[":
@@ -413,16 +418,17 @@ def _check_times(scn, exp, keys, start):
                 )
 
 
-# Time offsets by the sign they need; zero gaps are legal, since the default
-# curve_gaps start at 0.  t_inf is any finite time.
-_OFFSETS = {"spans": "positive", "h": "positive", "t_inf": None}
-_OFFSETS.update(
-    dict.fromkeys(("gaps", "curve_gaps", "gaps_a", "gaps_b"), "non-negative")
+# Time offsets, radii and tolerances by the sign they need; zero gaps are
+# legal, since the default curve_gaps start at 0.  t_inf is any finite time.
+_SIGNS = {"t_inf": None}
+_SIGNS.update(dict.fromkeys(("spans", "h", "radii", "tol_final"), "positive"))
+_SIGNS.update(
+    dict.fromkeys(("gaps", "curve_gaps", "gaps_a", "gaps_b", "slack"), "non-negative")
 )
 
 
-def _check_offsets(exp):
-    for key, sign in _OFFSETS.items():
+def _check_signs(exp):
+    for key, sign in _SIGNS.items():
         for x in _finite_values(exp, key):
             if sign and (x < 0 or x == 0 and sign == "positive"):
                 _err(f"experiment {exp.name!r}: {key} must be {sign}, got {x!r}")
@@ -477,7 +483,7 @@ def validate_scenario(scn):
         bundle = catalog.get(scn.catalog, **scn.params)
     except ScenarioError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         _err(f"bad parameters for catalog entry {scn.catalog!r}: {exc}")
 
     if scn.kind == "ou" and bundle.model is None:
@@ -519,8 +525,8 @@ def validate_scenario(scn):
             if not isinstance(val, int) or val < 0:
                 _err("sim seed must be a non-negative integer")
         elif key == "scheme":
-            if val not in _SCHEMES:
-                _err(f"sim scheme must be one of {list(_SCHEMES)}, got {val!r}")
+            if val not in sde._SCHEMES:
+                _err(f"sim scheme must be one of {list(sde._SCHEMES)}, got {val!r}")
 
     if scn.tol <= 0:
         _err("tol must be positive")
@@ -532,8 +538,14 @@ def validate_scenario(scn):
                 f"unknown experiment kind {exp.kind!r}; "
                 f"valid: {list(EXPERIMENT_KINDS)}"
             )
-        _check_times(scn, exp, ("s", "t", "r", "times", "t_grid"), start)
-        _check_offsets(exp)
+        unknown = sorted(set(exp.params) - set(_EXPERIMENT_KEYS[exp.kind]))
+        if unknown:
+            _err(
+                f"experiment {exp.name!r}: unknown key(s) {unknown} for kind "
+                f"{exp.kind!r}; valid: {list(_EXPERIMENT_KEYS[exp.kind])}"
+            )
+        _check_times(scn, exp, ("s", "t", "r", "times"), start)
+        _check_signs(exp)
         _check_exponents(exp)
         _check_counts(exp)
         if exp.kind == "limit" and bundle.model is None:

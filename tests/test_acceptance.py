@@ -172,15 +172,13 @@ def test_03_invariance_identity(
     ok_ou = worst_ou <= 1e-6
 
     cfg = sde.SimConfig(dt=2e-3, n_paths=8000, seed=71)
-    mc_engine = engines.engine_for(cubic_bundle)
+    mc_engine = engines.engine_for(cubic_bundle, cfg=cfg)
     worst_z = 0.0
     for j, (s, t) in enumerate([(0.0, 0.75), (0.5, 1.5)]):
         mu_s = measures.sample_mu(cubic_spec, s, 1e-3, cfg)
         mu_t = measures.sample_mu(cubic_spec, t, 1e-3, cfg)
         for f in fam[5 * j : 5 * j + 5]:
-            d, = measures.invariance_defect(
-                mc_engine, s, t, [f], cfg=cfg, mu_s=mu_s, mu_t=mu_t
-            )
+            d, = measures.invariance_defect(mc_engine, s, t, [f], mu_s=mu_s, mu_t=mu_t)
             worst_z = max(worst_z, abs(d.value) / d.tolerance)
     ok_mc = worst_z <= 3.0
 
@@ -432,7 +430,6 @@ def test_08_convergent_limit(ou_convergent_bundle):
 
 def test_09_mean_flow_identity(ou_periodic_bundle, cubic_bundle):
     ou_engine = engines.engine_for(ou_periodic_bundle)
-    mc_engine = engines.engine_for(cubic_bundle)
     bumps = functions.compact_flat_battery(1, n=5)
     h = 1e-2
     ok = True
@@ -444,8 +441,9 @@ def test_09_mean_flow_identity(ou_periodic_bundle, cubic_bundle):
         ok &= abs(d.value) <= cap
 
     cfg = sde.SimConfig(dt=2e-3, n_paths=6000, seed=29)
+    mc_engine = engines.engine_for(cubic_bundle, cfg=cfg, cloud_size=cfg.n_paths)
     for f in bumps:
-        d = measures.flow_derivative_defect(mc_engine, f, 1.0, h=h, cfg=cfg)
+        d = measures.flow_derivative_defect(mc_engine, f, 1.0, h=h)
         cap = max(100.0 * h * h, 4.0 * d.tolerance)
         worst = max(worst, abs(d.value) / cap)
         ok &= abs(d.value) <= cap

@@ -198,6 +198,12 @@ def test_bad_set_syntax(capsys):
         ("hyper", "outer=1.5"),
         ("invariance", "cloud=abc"),
         ("simulate", "paths=-1"),
+        ("poincare", "pp=3"),
+        ("measure", "t_grid=[1.0]"),
+        ("measure", "radii=[1, 0]"),
+        ("limit", "slack=-1"),
+        ("limit", "tol_final=0"),
+        ("poincare", 'p="'),
     ],
 )
 def test_out_of_domain_values_are_configuration_errors(kind, assignment, capsys):

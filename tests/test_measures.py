@@ -2,13 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kolmolab import catalog, engines, functions, measures, sde
 from kolmolab.errors import DomainError, HorizonError, UnboundedFunctionError
-from kolmolab.model import build_lyapunov_gaussian
+from kolmolab.model import build_lyapunov_gaussian, reflect_time
 from kolmolab.ou import GaussianMeasure, evolution_measure
 
 
@@ -189,21 +190,21 @@ def test_invariance_rejects_bad_times(ou_const_engine):
 
 
 def test_invariance_monte_carlo(cubic_bundle):
-    engine = engines.engine_for(cubic_bundle)
     cfg = sde.SimConfig(dt=2e-3, n_paths=8000, seed=17)
+    engine = engines.engine_for(cubic_bundle, cfg=cfg, cloud_size=cfg.n_paths)
     f = functions.tanh_ridge(np.array([1.0]), 0.1)
-    d, = measures.invariance_defect(engine, 0.0, 1.0, [f], cfg=cfg)
+    d, = measures.invariance_defect(engine, 0.0, 1.0, [f])
     assert d.value <= 3.5 * d.tolerance
     one = functions.constant(2.0, dim=1)
-    d1, = measures.invariance_defect(engine, 0.0, 1.0, [one], cfg=cfg)
+    d1, = measures.invariance_defect(engine, 0.0, 1.0, [one])
     assert d1.value <= 1e-12
 
 
 def test_invariance_shares_one_push_forward(cubic_bundle, monkeypatch):
     # functions of one call share the pushed cloud, and each gets the
     # defect a call of its own would give
-    engine = engines.engine_for(cubic_bundle)
     cfg = sde.SimConfig(dt=2e-2, n_paths=512, seed=23)
+    engine = engines.engine_for(cubic_bundle, cfg=cfg)
     mu_s = measures.sample_mu(engine.spec, 0.0, cfg=cfg)
     mu_t = measures.sample_mu(engine.spec, 0.5, cfg=cfg)
     fns = functions.bounded_test_family(1)[4:7]
@@ -212,17 +213,47 @@ def test_invariance_shares_one_push_forward(cubic_bundle, monkeypatch):
     monkeypatch.setattr(
         sde, "simulate", lambda *a, **k: calls.append(a) or real(*a, **k)
     )
-    together = measures.invariance_defect(
-        engine, 0.0, 0.5, fns, cfg=cfg, mu_s=mu_s, mu_t=mu_t
-    )
+    together = measures.invariance_defect(engine, 0.0, 0.5, fns, mu_s=mu_s, mu_t=mu_t)
     assert len(calls) == 1
     alone = [
-        measures.invariance_defect(
-            engine, 0.0, 0.5, [f], cfg=cfg, mu_s=mu_s, mu_t=mu_t
-        )[0]
+        measures.invariance_defect(engine, 0.0, 0.5, [f], mu_s=mu_s, mu_t=mu_t)[0]
         for f in fns
     ]
     assert together == alone
+
+
+# The Monte Carlo streams, pinned: a cloud is a burn-in of cloud_size paths
+# at tolerance 1e-3, on cfg.seed plus its stream's offset.
+STREAM_CFG = sde.SimConfig(dt=2e-2, n_paths=100, seed=4)
+
+
+@pytest.mark.parametrize(
+    "stream, offset", [("mu_t", 0), ("mu_s", 7919), ("flow_mid", 37)]
+)
+def test_cloud_streams_are_pinned(cubic_bundle, stream, offset):
+    engine = engines.engine_for(cubic_bundle, cfg=STREAM_CFG, cloud_size=64)
+    expected = measures.sample_mu(
+        cubic_bundle.spec, 0.5, 1e-3,
+        replace(STREAM_CFG, n_paths=64, seed=STREAM_CFG.seed + offset),
+    )
+    assert np.array_equal(engine.cloud(0.5, stream).samples, expected.samples)
+
+
+def test_measure_and_push_streams_are_pinned(cubic_bundle):
+    engine = engines.engine_for(cubic_bundle, cfg=STREAM_CFG, cloud_size=64)
+    spec, t = cubic_bundle.spec, 0.5
+    seed = (STREAM_CFG.seed * 1_000_003 + 7919 + round(t * 4096)) % 2**62
+    expected = measures.sample_mu(
+        spec, t, 1e-3, replace(STREAM_CFG, n_paths=64, seed=seed)
+    )
+    mu = engine.measure(t)
+    assert np.array_equal(mu.samples, expected.samples)
+    pushed = sde.simulate(
+        reflect_time(spec, 0.5 + 1.0), 0.5, 1.0, mu.samples,
+        replace(STREAM_CFG, n_paths=64, seed=STREAM_CFG.seed + 101),
+        with_jacobians=False,
+    )
+    assert np.array_equal(engine.push(mu, 0.5, 1.0).samples, pushed.states)
 
 
 def test_invariance_reuses_supplied_measures(ou_const_engine):
@@ -268,11 +299,26 @@ def test_flow_derivative_autonomous_is_static(ou_const_engine):
 
 
 def test_flow_derivative_monte_carlo(cubic_bundle):
-    engine = engines.engine_for(cubic_bundle)
     cfg = sde.SimConfig(dt=2e-3, n_paths=8000, seed=23)
+    engine = engines.engine_for(cubic_bundle, cfg=cfg, cloud_size=cfg.n_paths)
     f = functions.smooth_plateau(1.0, 2.5, dim=1)
-    d = measures.flow_derivative_defect(engine, f, 1.0, h=1e-2, cfg=cfg)
+    d = measures.flow_derivative_defect(engine, f, 1.0, h=1e-2)
     assert d.value <= max(100.0 * 1e-2**2, 4.0 * d.tolerance)
+
+
+def test_flow_derivative_draws_its_clouds_through_the_memo(cubic_bundle, monkeypatch):
+    # a second call on the same engine finds all three burn-ins in the memo
+    cfg = sde.SimConfig(dt=2e-2, n_paths=512, seed=23)
+    engine = engines.engine_for(cubic_bundle, cfg=cfg, cloud_size=cfg.n_paths)
+    f = functions.smooth_plateau(1.0, 2.5, dim=1)
+    first = measures.flow_derivative_defect(engine, f, 1.0)
+    calls = []
+    real = sde.simulate
+    monkeypatch.setattr(
+        sde, "simulate", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    assert measures.flow_derivative_defect(engine, f, 1.0) == first
+    assert calls == []
 
 
 def test_flow_derivative_refuses_unbounded(ou_const_engine):

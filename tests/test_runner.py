@@ -1,17 +1,19 @@
-"""Runner: the run-scoped memo and the experiment error boundary."""
+"""Runner: the run-scoped memo, engine sizes, the keys each kind reads, and
+the experiment error boundary."""
 
 import json
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kolmolab import engines, measures, ou, runner, sde
+from kolmolab import engines, measures, ou, runner, scenario, sde
 from kolmolab.catalog import ScenarioBundle
 from kolmolab.memo import KINDS
-from kolmolab.scenario import parse_scenario, validate_scenario
+from kolmolab.scenario import ExperimentDecl, parse_scenario, validate_scenario
 
 # measure and lsi share one engine cloud at t = 1; invariance needs mu_0.5,
 # mu_1 and an independently seeded mu_0 -- four distinct burn-ins
@@ -311,12 +313,18 @@ def test_concurrent_requests_share_one_measure(monkeypatch):
     assert not results[0].cov.flags.writeable
 
 
+def run_engine(ctx, cfg):
+    """A Monte Carlo engine on the run's memo whose clouds are ``cfg``'s."""
+    return engines.MonteCarloEngine(
+        ctx.spec, cfg, cloud_size=cfg.n_paths, memo=ctx.memo
+    )
+
+
 def test_cached_clouds_are_shared_and_read_only():
     ctx = tiny_context()
-    exp = ctx.scn.experiments[0]
     cfg = sde.SimConfig(dt=2e-2, n_paths=64, seed=3)
-    a = ctx.engine(exp).cloud(1.0, 1e-3, cfg)
-    assert ctx.engine(exp).cloud(1.0, 1e-3, cfg) is a
+    a = run_engine(ctx, cfg).cloud(1.0)
+    assert run_engine(ctx, cfg).cloud(1.0) is a
     assert not a.samples.flags.writeable
     with pytest.raises(ValueError):
         a.samples[0, 0] = 0.0
@@ -324,7 +332,6 @@ def test_cached_clouds_are_shared_and_read_only():
 
 def test_concurrent_requests_share_one_burn_in(monkeypatch):
     ctx = tiny_context()
-    exp = ctx.scn.experiments[0]
     calls = []
     real = engines.sample_mu
 
@@ -341,7 +348,7 @@ def test_concurrent_requests_share_one_burn_in(monkeypatch):
     try:
         workers = [
             threading.Thread(
-                target=lambda: results.append(ctx.engine(exp).cloud(0.5, 1e-3, cfg))
+                target=lambda: results.append(run_engine(ctx, cfg).cloud(0.5))
             )
             for _ in range(8)
         ]
@@ -377,3 +384,97 @@ def test_failed_burn_in_is_an_error_verdict_and_releases_its_key(monkeypatch):
     assert lsi.verdict == "pass" and invariance.verdict == "pass"
     assert calls[0] == calls[1]
     assert reports[0].verdict == "fail"
+
+
+@pytest.mark.parametrize(
+    "kind, sizes",
+    [
+        ("invariance", (16384, 192, 2048)),
+        ("flow", (16384, 192, 2048)),
+        ("hyper", (4096, 96, 1024)),
+        ("decay", (4096, 96, 1024)),
+        ("measure", (8192, 192, 2048)),
+        ("lsi", (8192, 192, 2048)),
+        ("poincare", (8192, 192, 2048)),
+        ("limit", (8192, 192, 2048)),
+    ],
+)
+def test_engine_sizes_by_kind_and_keys(kind, sizes):
+    ctx = tiny_context()
+    engine = ctx.engine(ExperimentDecl(kind=kind, name=kind))
+    assert (engine.cloud_size, engine.n_inner, engine.n_outer) == sizes
+    assert engine.memo is ctx.memo and engine.cfg is ctx.cfg
+    keys = {"cloud": 100, "inner": 7, "outer": 9}
+    engine = ctx.engine(ExperimentDecl(kind=kind, name=kind, params=keys))
+    assert (engine.cloud_size, engine.n_inner, engine.n_outer) == (100, 7, 9)
+    assert tiny_context(TINY_OU).engine(
+        ExperimentDecl(kind=kind, name=kind, params=keys)
+    ).kind == "analytic"
+
+
+class ReadRecorder(dict):
+    """Experiment parameters that record every key read through ``get``."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# ou_const on both engines: every kind, limit included, runs on each
+KEYS_SCENARIO = """\
+scenario keys
+  catalog ou_const
+  kind {kind}
+  sim
+    dt 5e-2
+    paths 64
+    seed 1
+  end
+end
+"""
+
+# small cases of every kind; the Monte Carlo sizes are added on engine kinds
+SMALL_CASES = {
+    "audit": {},
+    "simulate": {"spans": [0.2], "paths": 16},
+    "measure": {"times": [1.0], "export": "off"},
+    "invariance": {"spans": [0.5], "n": 2},
+    "flow": {"n": 1},
+    "lsi": {"p": [2.0], "n": 2},
+    "poincare": {"p": [2.0]},
+    "hyper": {"q": [2.0], "gaps": [0.5], "n": 2, "curve_gaps": [0.0, 0.5]},
+    "decay": {"p": [2.0], "gaps_a": [0.5, 1.0], "gaps_b": [1.0, 1.5]},
+    "limit": {"times": [1.0, 2.0]},
+}
+MC_SIZES = {"cloud": 512, "inner": 8, "outer": 16}
+
+
+def test_each_kind_reads_only_its_declared_keys():
+    assert set(SMALL_CASES) == set(scenario.EXPERIMENT_KINDS)
+    declared = scenario._EXPERIMENT_KEYS
+    read = {kind: set() for kind in SMALL_CASES}
+    for engine_kind in ("ou", "general"):
+        decls = tuple(
+            ExperimentDecl(kind=kind, name=kind, params=dict(params))
+            if kind in ("audit", "simulate")
+            else ExperimentDecl(kind=kind, name=kind, params={**params, **MC_SIZES})
+            for kind, params in SMALL_CASES.items()
+        )
+        scn = replace(
+            parse_scenario(KEYS_SCENARIO.format(kind=engine_kind)), experiments=decls
+        )
+        ctx = runner.RunContext(
+            scn=scn, bundle=validate_scenario(scn), cfg=runner._build_cfg(scn)
+        )
+        for decl in decls:
+            params = ReadRecorder(decl.params)
+            rows = runner._RUNNERS[decl.kind](ctx, replace(decl, params=params))
+            assert rows, decl.kind
+            assert params.read <= set(declared[decl.kind]), decl.kind
+            read[decl.kind] |= params.read
+    # and every declared key is read by one engine or the other
+    assert read == {kind: set(keys) for kind, keys in declared.items()}

@@ -2,14 +2,19 @@
 
 import argparse
 import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolmolab import cli, runner
-from kolmolab.errors import ScenarioError
+from kolmolab.errors import DomainError, ScenarioError
 from kolmolab.scenario import (
     EXPERIMENT_KINDS,
+    ExperimentDecl,
     Overrides,
+    Scenario,
     apply_overrides,
     load_scenario,
     parse_scenario,
@@ -150,6 +155,15 @@ def test_validate_catalog_references():
     e = verr("scenario a\n  catalog ou_const\n  param bogus 3\nend\n")
     assert "unknown parameter(s)" in str(e) and "'rate'" in str(e)
 
+    # validation only: an OU measure at dim 7 would build a 64^7-node rule
+    for dim in ("2.5", "7", "0", "nan"):
+        e = verr(f"scenario a\n  catalog ou_const\n  param dim {dim}\nend\n")
+        assert "needs dim 1, 2 or 3" in str(e)
+
+    # 0.5 * noise**2 overflows the double range
+    e = verr("scenario a\n  catalog ou_const\n  param noise 1e200\nend\n")
+    assert "bad parameters" in str(e)
+
 
 def test_validate_hypotheses():
     e = verr(
@@ -194,6 +208,9 @@ def test_validate_experiments():
 
     e = verr("scenario a\n  catalog cubic_dissipative\n  kind ou\nend\n")
     assert "no linear-drift closed form" in str(e)
+
+    e = verr("scenario a\n  catalog ou_const\n  experiment lsi\n    pp 3\n  end\nend\n")
+    assert "unknown key(s) ['pp']" in str(e)
 
 
 def test_validate_returns_bundle():
@@ -259,3 +276,72 @@ def test_max_workers_env(monkeypatch):
     monkeypatch.setenv("KOLMOLAB_THREADS", "0")
     with pytest.raises(ScenarioError, match="positive integer"):
         runner.max_workers(4)
+
+
+# ----------------------------------------------------------------------
+# fuzzing: malformed input fails only as a configuration error
+# ----------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+# the shipped scenarios and the report oracles (ou_d2 declares param dim 2)
+SHIPPED_TEXTS = [
+    p.read_text()
+    for pattern in ("scenarios/*.scn", "tests/scenarios/*.scn")
+    for p in sorted(ROOT.glob(pattern))
+]
+
+# tokens that probe the grammar and the value checks
+ODD_TOKENS = [
+    "nan", "inf", "-inf", "-1", "0", "2.5", "7", "1e308", "-1e308", "1e-308",
+    "[", "]", "[]", '"', '""', "#", "[nan, 1]", "[1 -2]", '"x y"',
+    "end", "experiment", "sim", "constants", "param", "scenario", "kind",
+    "dim", "noise", "rate", "dt", "seed", "scheme", "r0", "eta0",
+    "cloud", "inner", "n", "p", "q", "h", "spans", "gaps", "radii", "slack",
+    "tol_final", "t_inf", "times", "export", "pp",
+]
+TOKENS = st.one_of(st.sampled_from(ODD_TOKENS), st.text(max_size=6))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario with one to four lines deleted, duplicated,
+    inserted or changed in one token."""
+    lines = draw(st.sampled_from(SHIPPED_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(("token", "insert", "delete", "duplicate")))
+        if op == "insert":
+            lines.insert(i, " ".join(draw(st.lists(TOKENS, min_size=1, max_size=3))))
+        elif i < len(lines) and op == "delete":
+            del lines[i]
+        elif i < len(lines) and op == "duplicate":
+            lines.insert(i, lines[i])
+        elif i < len(lines) and lines[i].split():
+            words = lines[i].split()
+            words[draw(st.integers(0, len(words) - 1))] = draw(TOKENS)
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_scenarios())
+def test_fuzzed_scenarios_fail_only_as_configuration_errors(text):
+    try:
+        validate_scenario(parse_scenario(text))
+    except (ScenarioError, DomainError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(EXPERIMENT_KINDS),
+    TOKENS,
+    st.lists(TOKENS, max_size=3).map(" ".join),
+)
+def test_fuzzed_set_assignments_fail_only_as_configuration_errors(kind, key, raw):
+    try:
+        key, value = cli._parse_assignment(f"{key}={raw}")
+        exp = ExperimentDecl(kind=kind, name=kind, params={key: value})
+        validate_scenario(Scenario(name="fuzz", catalog="ou_const", experiments=(exp,)))
+    except (ScenarioError, DomainError):
+        pass
