@@ -103,10 +103,30 @@ class AnalyticOUEngine:
         return grads, np.zeros_like(grads)
 
 
-# Seed offsets from cfg.seed: the burn-in streams of ``cloud`` and the push
-# of a cloud through the kernel of G(t, s).  invariance's mu_s must be a
-# stream of its own, so that its identity does not hold by construction.
-_SEED_OFFSETS = {"mu_t": 0, "mu_s": 7919, "flow_mid": 37, "push": 101}
+# Tags of the Monte Carlo streams: the burn-in streams of ``cloud``, the
+# push of a cloud through the kernel of G(t, s), the burn-in of
+# ``measure(t)``, and the replicate values and gradients of G(t, s).
+# invariance's mu_s must be a stream of its own, so that its identity does
+# not hold by construction.
+_STREAM_TAGS = {
+    "mu_t": 0, "mu_s": 1, "flow_mid": 2, "push": 3,
+    "measure": 4, "values": 5, "gradients": 6,
+}
+
+
+def _stream_seed(seed, stream, *times):
+    """The simulation seed of ``stream`` at ``times`` for run seed ``seed``.
+
+    It is drawn from a SeedSequence on ``seed`` whose spawn key is the
+    stream's tag and the float bits of its times (-0.0 read as 0.0), so
+    streams that differ in tag or in any bit of a time are distinct by
+    construction, up to a 64-bit hash collision."""
+    key = (_STREAM_TAGS[stream],) + tuple(
+        int(np.float64(float(t) + 0.0).view(np.uint64)) for t in times
+    )
+    state = np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)
+    return int(state[0])
+
 
 # Distance-to-equilibrium target of every burn-in (see measures.burn_in_start).
 _BURN_IN_TOL = 1e-3
@@ -135,11 +155,6 @@ class MonteCarloEngine:
         self.r0 = spec.r0
         self._measures = {}
 
-    def _seed_for(self, tag, t):
-        return (self.cfg.seed * 1_000_003 + tag * 7919 + int(round(t * 4096))) % (
-            2**62
-        )
-
     def _burn_in(self, t, seed):
         """:func:`kolmolab.measures.sample_mu` of cloud_size paths on
         ``seed``, computed once per memo key."""
@@ -147,13 +162,15 @@ class MonteCarloEngine:
         return self.memo("clouds", sample_mu, self.spec, float(t), _BURN_IN_TOL, cfg)
 
     def cloud(self, t, stream="mu_t"):
-        """A burn-in cloud of mu_t from ``stream``, a key of _SEED_OFFSETS."""
-        return self._burn_in(t, self.cfg.seed + _SEED_OFFSETS[stream])
+        """A burn-in cloud of mu_t from ``stream``: "mu_t", "mu_s" or
+        "flow_mid".  A stream's seed does not depend on t, so flow's two
+        offset clouds share their noise (common random numbers)."""
+        return self._burn_in(t, _stream_seed(self.cfg.seed, stream))
 
     def push(self, mu, s, t):
         """The cloud ``mu`` carried from s to t, one path per point, by the
         kernel of G(t, s): the mirrored-clock flow."""
-        seed = self.cfg.seed + _SEED_OFFSETS["push"]
+        seed = _stream_seed(self.cfg.seed, "push")
         bundle = sde.simulate(
             reflect_time(self.spec, s + t), s, t, mu.samples,
             replace(self.cfg, n_paths=mu.n, seed=seed), with_jacobians=False,
@@ -163,7 +180,9 @@ class MonteCarloEngine:
     def measure(self, t):
         key = round(float(t), 12)
         if key not in self._measures:
-            self._measures[key] = self._burn_in(t, self._seed_for(1, t))
+            self._measures[key] = self._burn_in(
+                t, _stream_seed(self.cfg.seed, "measure", t)
+            )
         return self._measures[key]
 
     def _replicate_means(self, s, t, f, xs, grad):
@@ -176,10 +195,11 @@ class MonteCarloEngine:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         n = xs.shape[0]
         starts = np.repeat(xs, self.n_inner, axis=0)
+        stream = "gradients" if grad else "values"
         cfg = replace(
             self.cfg,
             n_paths=n * self.n_inner,
-            seed=self._seed_for(3 if grad else 2, t + 1e3 * s),
+            seed=_stream_seed(self.cfg.seed, stream, s, t),
         )
         bundle = sde.simulate(
             reflect_time(self.spec, s + t), s, t, starts, cfg,

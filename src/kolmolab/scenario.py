@@ -495,6 +495,9 @@ def validate_scenario(scn):
     spec = bundle.spec
     merged = {k: getattr(spec, k) for k in _CONSTANT_KEYS}
     merged.update(scn.constants)
+    for key, val in merged.items():
+        if not math.isfinite(val):
+            _err(f"constant {key} must be finite, got {val}")
     if merged["r0"] >= 0:
         _err(
             f"r0 = {merged['r0']:+g} violates hypothesis (iv): the "
@@ -511,7 +514,7 @@ def validate_scenario(scn):
 
     for key, val in scn.sim.items():
         if key == "dt":
-            if not isinstance(val, (int, float)) or val <= 0:
+            if not isinstance(val, (int, float)) or not 0 < val < math.inf:
                 _err("sim dt must be a positive real")
             if float(val) * abs(spec.r0) >= 0.5:
                 _err(
@@ -522,14 +525,14 @@ def validate_scenario(scn):
             if not isinstance(val, int) or val < 1:
                 _err("sim paths must be a positive integer")
         elif key == "seed":
-            if not isinstance(val, int) or val < 0:
-                _err("sim seed must be a non-negative integer")
+            if not isinstance(val, int) or not 0 <= val < 2**64:
+                _err("sim seed must be a non-negative integer below 2**64")
         elif key == "scheme":
             if val not in sde._SCHEMES:
                 _err(f"sim scheme must be one of {list(sde._SCHEMES)}, got {val!r}")
 
-    if scn.tol <= 0:
-        _err("tol must be positive")
+    if not 0 < scn.tol < math.inf:
+        _err("tol must be a positive real")
 
     start = spec.interval_start
     for exp in scn.experiments:

@@ -25,11 +25,16 @@ coefficients the mirrored flow is the plain flow; for time-dependent ones
 the distinction is exactly what makes the evaluated operator satisfy the
 invariance identity against the evolution system of measures.
 
-Randomness: paths are partitioned into fixed blocks of ``BLOCK`` paths, each
-block drawing from its own counter-based Philox stream keyed (seed, block
-index), and full blocks are always generated.  A path's noise is therefore a
-pure function of (seed, path index, step) -- independent of n_paths,
-chunking, or any parallel scheduling -- and reruns are bit-identical.
+Randomness: paths are partitioned into sub-blocks of ``BLOCK`` paths, sub-block
+b drawing from its own counter-based Philox stream keyed (seed, b), as in
+Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC 2011).
+Only the sub-blocks that hold paths are drawn, so a run wastes at most
+BLOCK - 1 paths' noise per step.  The noise is drawn in chunks of steps into
+one buffer of about ``_NOISE_VALUES`` values, allocated once per call, so
+an ensemble's noise memory stays bounded however many paths or steps it
+has.  Every stream runs sequentially, so a path's noise is a pure function
+of (seed, path index, step) -- independent of n_paths, the chunk length,
+or any parallel scheduling -- and reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -59,7 +64,10 @@ __all__ = [
     "eps_dt",
 ]
 
-BLOCK = 16384
+# Paths per Philox key.
+BLOCK = 1024
+# Noise values held at once (8 MB): each chunk draws as many steps as fit.
+_NOISE_VALUES = 1 << 20
 _SCHEMES = ("euler", "semi_implicit_drift")
 
 
@@ -75,8 +83,8 @@ class SimConfig:
             raise DomainError("dt must be positive")
         if self.n_paths < 1:
             raise DomainError("n_paths must be at least 1")
-        if self.seed < 0:
-            raise DomainError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError("seed must be a nonnegative integer below 2**64")
         if self.scheme not in _SCHEMES:
             raise DomainError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
 
@@ -177,67 +185,63 @@ def simulate(spec, s, t, x, cfg=None, with_jacobians=True):
     semi = cfg.scheme == "semi_implicit_drift"
     eye = np.eye(d)
 
-    out_states = np.empty((n, d))
-    out_jac = np.empty((n, d, d)) if with_jacobians else None
-
-    n_blocks = (n + BLOCK - 1) // BLOCK
-    noise_chunk = 256
-    for blk in range(n_blocks):
-        lo, hi = blk * BLOCK, min((blk + 1) * BLOCK, n)
-        m = hi - lo
-        rng = np.random.Generator(np.random.Philox(key=[int(cfg.seed), blk]))
-        X = np.array(starts[lo:hi], dtype=float)
-        J = np.broadcast_to(eye, (m, d, d)).copy() if with_jacobians else None
-        k = 0
-        n_steps = len(hs)
-        while k < n_steps:
-            kc = min(noise_chunk, n_steps - k)
-            # Always draw the full block so path noise is n_paths-independent.
-            Z = rng.standard_normal((kc, BLOCK, d))[:, :m, :]
-            for j in range(kc):
-                tk = times[k + j]
-                h = hs[k + j]
-                try:
-                    drift = spec.drift(tk, X)
-                except EvaluationError as exc:
-                    # mid-integration overflow of the coefficients is the
-                    # numerical signature of an exploding trajectory
-                    raise BlowUpError(
-                        f"drift became non-finite by step {k + j} "
-                        f"(t ~ {tk:.4g}); reduce dt or check the drift",
-                        step=k + j,
-                    ) from exc
-                noise = (Z[j] @ sig[k + j].T) * sqrt_h[k + j]
-                L = spec.drift_jacobian(tk, X) if semi or with_jacobians else None
-                A_step = eye - h * L if semi else None
-                if with_jacobians:
-                    J = _jacobian_step(J, L, h, A_step)
-                if semi:
-                    incr = np.linalg.solve(A_step, (h * drift + noise)[..., None])[
-                        ..., 0
-                    ]
-                    X = X + incr
-                else:
-                    X = X + h * drift + noise
-            # free this chunk's noise before the next draw: holding two
-            # chunks at once doubles the simulator's peak memory
-            del Z
-            if not np.all(np.isfinite(X)):
-                bad_step = k + kc
+    n_steps = len(hs)
+    n_sub = -(-n // BLOCK)
+    # a uint64 key array: a list of Python ints above 2**63 would pass
+    # through float64 and lose the seed's low bits
+    rngs = [
+        np.random.Generator(
+            np.random.Philox(key=np.array([cfg.seed, b], dtype=np.uint64))
+        )
+        for b in range(n_sub)
+    ]
+    chunk = max(1, min(n_steps, _NOISE_VALUES // (n_sub * BLOCK * d)))
+    buf = np.empty((n_sub, chunk, BLOCK, d))
+    X = np.array(starts, dtype=float)
+    J = np.broadcast_to(eye, (n, d, d)).copy() if with_jacobians else None
+    k = 0
+    while k < n_steps:
+        kc = min(chunk, n_steps - k)
+        for b, rng in enumerate(rngs):
+            rng.standard_normal(out=buf[b, :kc])
+        for j in range(kc):
+            tk = times[k + j]
+            h = hs[k + j]
+            try:
+                drift = spec.drift(tk, X)
+            except EvaluationError as exc:
+                # mid-integration overflow of the coefficients is the
+                # numerical signature of an exploding trajectory
                 raise BlowUpError(
-                    f"path state became non-finite by step {bad_step} "
-                    f"(t ~ {times[min(bad_step, len(times) - 1)]:.4g}); "
-                    "reduce dt or check the drift",
-                    step=bad_step,
-                )
-            k += kc
-        out_states[lo:hi] = X
-        if with_jacobians:
-            out_jac[lo:hi] = J
+                    f"drift became non-finite by step {k + j} "
+                    f"(t ~ {tk:.4g}); reduce dt or check the drift",
+                    step=k + j,
+                ) from exc
+            # the matmul reads the strided sub-blocks of step j directly;
+            # copying them out first is slower
+            noise = (buf[:, j] @ sig[k + j].T).reshape(-1, d)[:n] * sqrt_h[k + j]
+            L = spec.drift_jacobian(tk, X) if semi or with_jacobians else None
+            A_step = eye - h * L if semi else None
+            if with_jacobians:
+                J = _jacobian_step(J, L, h, A_step)
+            if semi:
+                incr = np.linalg.solve(A_step, (h * drift + noise)[..., None])[
+                    ..., 0
+                ]
+                X = X + incr
+            else:
+                X = X + h * drift + noise
+        if not np.all(np.isfinite(X)):
+            bad_step = k + kc
+            raise BlowUpError(
+                f"path state became non-finite by step {bad_step} "
+                f"(t ~ {times[min(bad_step, len(times) - 1)]:.4g}); "
+                "reduce dt or check the drift",
+                step=bad_step,
+            )
+        k += kc
 
-    return PathBundle(
-        states=out_states, jacobians=out_jac, s=float(s), t=float(t), cfg=cfg
-    )
+    return PathBundle(states=X, jacobians=J, s=float(s), t=float(t), cfg=cfg)
 
 
 def evaluate_G(spec, s, t, f, x, cfg=None, bundle=None):

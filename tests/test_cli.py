@@ -128,6 +128,35 @@ def test_rejects_positive_r0(tmp_path, capsys):
     assert "hypothesis (iv)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, line, message",
+    [
+        ("constants", "r0 nan", "constant r0 must be finite"),
+        ("constants", "Lambda inf", "constant Lambda must be finite"),
+        ("sim", "dt nan", "sim dt must be a positive real"),
+    ],
+    ids=["r0-nan", "Lambda-inf", "dt-nan"],
+)
+def test_rejects_non_finite_scenario_values(tmp_path, section, line, message, capsys):
+    scn = write_scn(
+        tmp_path,
+        f"scenario bad\n  catalog ou_const\n  {section}\n    {line}\n  end\n"
+        "  experiment measure\n  end\nend\n",
+    )
+    assert cli.main(["run", str(scn), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--tol", "tol must be a positive real"), ("--dt", "sim dt must be a positive real")],
+    ids=["tol", "dt"],
+)
+def test_rejects_non_finite_flags(flag, message, capsys):
+    assert cli.main(["measure", "ou_const", flag, "nan"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_rejects_unknown_target(capsys):
     assert cli.main(["run", "no_such_thing"]) == 2
     assert "neither a scenario file nor a catalog entry" in capsys.readouterr().err

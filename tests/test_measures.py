@@ -223,18 +223,16 @@ def test_invariance_shares_one_push_forward(cubic_bundle, monkeypatch):
 
 
 # The Monte Carlo streams, pinned: a cloud is a burn-in of cloud_size paths
-# at tolerance 1e-3, on cfg.seed plus its stream's offset.
+# at tolerance 1e-3, on its stream's seed, which does not depend on t.
 STREAM_CFG = sde.SimConfig(dt=2e-2, n_paths=100, seed=4)
 
 
-@pytest.mark.parametrize(
-    "stream, offset", [("mu_t", 0), ("mu_s", 7919), ("flow_mid", 37)]
-)
-def test_cloud_streams_are_pinned(cubic_bundle, stream, offset):
+@pytest.mark.parametrize("stream", ["mu_t", "mu_s", "flow_mid"])
+def test_cloud_streams_are_pinned(cubic_bundle, stream):
     engine = engines.engine_for(cubic_bundle, cfg=STREAM_CFG, cloud_size=64)
+    seed = engines._stream_seed(STREAM_CFG.seed, stream)
     expected = measures.sample_mu(
-        cubic_bundle.spec, 0.5, 1e-3,
-        replace(STREAM_CFG, n_paths=64, seed=STREAM_CFG.seed + offset),
+        cubic_bundle.spec, 0.5, 1e-3, replace(STREAM_CFG, n_paths=64, seed=seed)
     )
     assert np.array_equal(engine.cloud(0.5, stream).samples, expected.samples)
 
@@ -242,7 +240,7 @@ def test_cloud_streams_are_pinned(cubic_bundle, stream, offset):
 def test_measure_and_push_streams_are_pinned(cubic_bundle):
     engine = engines.engine_for(cubic_bundle, cfg=STREAM_CFG, cloud_size=64)
     spec, t = cubic_bundle.spec, 0.5
-    seed = (STREAM_CFG.seed * 1_000_003 + 7919 + round(t * 4096)) % 2**62
+    seed = engines._stream_seed(STREAM_CFG.seed, "measure", t)
     expected = measures.sample_mu(
         spec, t, 1e-3, replace(STREAM_CFG, n_paths=64, seed=seed)
     )
@@ -250,10 +248,47 @@ def test_measure_and_push_streams_are_pinned(cubic_bundle):
     assert np.array_equal(mu.samples, expected.samples)
     pushed = sde.simulate(
         reflect_time(spec, 0.5 + 1.0), 0.5, 1.0, mu.samples,
-        replace(STREAM_CFG, n_paths=64, seed=STREAM_CFG.seed + 101),
+        replace(
+            STREAM_CFG, n_paths=64, seed=engines._stream_seed(STREAM_CFG.seed, "push")
+        ),
         with_jacobians=False,
     )
     assert np.array_equal(engine.push(mu, 0.5, 1.0).samples, pushed.states)
+
+
+def test_every_stream_of_a_run_is_distinct(cubic_bundle, monkeypatch):
+    # every seed the engine derives at run seeds 0-3, recorded in place of
+    # the burn-ins and path runs: measure(t) at times closer than 1/4096,
+    # measure(0) next to the mu_s cloud, and replicate values and gradients
+    # at (s, t) pairs with equal t + 1e3 s, which once shared a seed
+    seeds = []
+
+    def burn_in(spec, t, tol, cfg):
+        seeds.append(cfg.seed)
+        return measures.EmpiricalMeasure(samples=np.zeros((cfg.n_paths, 1)), t=t)
+
+    def paths(spec, s, t, x, cfg, with_jacobians):
+        seeds.append(cfg.seed)
+        n = cfg.n_paths
+        return sde.PathBundle(np.zeros((n, 1)), np.ones((n, 1, 1)), s, t, cfg)
+
+    monkeypatch.setattr(engines, "sample_mu", burn_in)
+    monkeypatch.setattr(sde, "simulate", paths)
+    f = functions.bounded_test_family(1)[0]
+    xs = np.zeros((2, 1))
+    for run_seed in range(4):
+        cfg = sde.SimConfig(n_paths=8, seed=run_seed)
+        engine = engines.engine_for(cubic_bundle, cfg=cfg, cloud_size=8, n_inner=4)
+        for t in (0.0, 1e-4, 0.5, 0.5 + 1e-4, 1.0):
+            engine.measure(t)
+        for stream in ("mu_t", "mu_s", "flow_mid"):
+            engine.cloud(0.0, stream)
+        engine.push(engine.cloud(0.0), 0.0, 0.5)
+        for s, t in ((0.0, 0.5), (1e-4, 0.5), (0.0, 0.5 + 1e-4), (0.0, 1.5), (1e-3, 0.5)):
+            engine.apply_G_at(s, t, f, xs)
+            engine.grad_G_at(s, t, f, xs)
+    assert len(seeds) == 4 * (5 + 3 + 1 + 10)
+    assert len(set(seeds)) == len(seeds)
 
 
 def test_invariance_reuses_supplied_measures(ou_const_engine):

@@ -53,8 +53,8 @@ def test_report_matches_golden(name, tmp_path, monkeypatch, capsys):
     golden = GOLDEN / name
     expected = json.loads((golden / "summary.json").read_text())
     code, base = run_report(name, tmp_path)
-    # mc_cubic's decay fails its rate check (an estimator defect, ROADMAP
-    # item 2), so the exit code is read off the golden verdict
+    # mc_cubic's decay rate check can fail on clipped norms (an estimator
+    # defect, ROADMAP item 2), so the exit code is read off the golden verdict
     assert code == (0 if expected["verdict"] == "pass" else 1)
     csvs = sorted(p.name for p in base.glob("*.csv"))
     assert csvs == sorted(p.name for p in golden.glob("*.csv"))

@@ -196,6 +196,7 @@ def test_unstable_linear_euler_step_ends_as_error_verdict():
         rep = runner._run_one(ctx, scn.experiments[0])
     assert rep.verdict == "error"
     assert rep.error.startswith("BlowUpError")
+    assert "by step 511 " in rep.error
 
 
 def test_reports_do_not_depend_on_worker_count(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Path engine: determinism, closed-form moments, Jacobian transport."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,25 +25,44 @@ def test_simulate_is_deterministic(ou_const_bundle, fast_cfg):
     assert np.array_equal(a.jacobians, b.jacobians)
 
 
-def test_noise_does_not_depend_on_path_count(ou_const_bundle):
+def test_noise_does_not_depend_on_path_count():
     # counter-based streams: path i sees the same noise whether the ensemble
-    # holds 800 paths or 3000, so subsampling is well defined
-    spec = ou_const_bundle.spec
-    small = sde.SimConfig(dt=2e-3, n_paths=800, seed=9)
-    large = sde.SimConfig(dt=2e-3, n_paths=3000, seed=9)
-    a = sde.simulate(spec, 0.0, 0.5, np.array([1.0]), small, with_jacobians=False)
-    b = sde.simulate(spec, 0.0, 0.5, np.array([1.0]), large, with_jacobians=False)
-    assert np.array_equal(a.states, b.states[:800])
+    # holds BLOCK + 7 paths (two sub-blocks, one partly used) or 3 BLOCK, so
+    # subsampling is well defined
+    small = sde.SimConfig(dt=2e-3, n_paths=sde.BLOCK + 7, seed=9)
+    large = sde.SimConfig(dt=2e-3, n_paths=3 * sde.BLOCK, seed=9)
+    for name in ("ou_const", "cubic_dissipative"):
+        spec = catalog.get(name).spec
+        a = sde.simulate(spec, 0.0, 0.5, np.array([1.0]), small)
+        b = sde.simulate(spec, 0.0, 0.5, np.array([1.0]), large)
+        assert np.array_equal(a.states, b.states[: small.n_paths])
+        assert np.array_equal(a.jacobians, b.jacobians[: small.n_paths])
+
+
+def test_noise_does_not_depend_on_chunk_length(monkeypatch):
+    # a noise budget of one value forces one step per chunk
+    spec = catalog.get("cubic_dissipative", dim=2).spec
+    cfg = sde.SimConfig(dt=1e-2, n_paths=2 * sde.BLOCK + 5, seed=5)
+    x = np.array([0.3, -0.1])
+    a = sde.simulate(spec, 0.0, 0.75, x, cfg)
+    monkeypatch.setattr(sde, "_NOISE_VALUES", 1)
+    b = sde.simulate(spec, 0.0, 0.75, x, cfg)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.jacobians, b.jacobians)
 
 
 def test_different_seeds_differ(ou_const_bundle, fast_cfg):
+    # seeds that differ only in their low bits, also above 2**63 (the engine
+    # derives 64-bit seeds), must give different noise
     spec = ou_const_bundle.spec
-    other = sde.SimConfig(
-        dt=fast_cfg.dt, n_paths=fast_cfg.n_paths, seed=fast_cfg.seed + 1
-    )
-    a = sde.simulate(spec, 0.0, 0.5, np.array([0.0]), fast_cfg)
-    b = sde.simulate(spec, 0.0, 0.5, np.array([0.0]), other)
-    assert not np.array_equal(a.states, b.states)
+    for seed in (fast_cfg.seed, 2**64 - 2):
+        a, b = (
+            sde.simulate(
+                spec, 0.0, 0.5, np.array([0.0]), replace(fast_cfg, seed=seed + k)
+            )
+            for k in (0, 1)
+        )
+        assert not np.array_equal(a.states, b.states)
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +279,8 @@ def test_config_validation():
     with pytest.raises(DomainError):
         sde.SimConfig(seed=-1)
     with pytest.raises(DomainError):
+        sde.SimConfig(seed=2**64)
+    with pytest.raises(DomainError):
         sde.SimConfig(scheme="rk4")
 
 
@@ -313,7 +335,8 @@ def test_blow_up_reported_with_step():
     cfg = sde.SimConfig(dt=0.05, n_paths=16, seed=0)
     with pytest.raises(BlowUpError) as err, np.errstate(over="ignore"):
         sde.simulate(flipped, 0.0, 2.0, np.array([3.0]), cfg, with_jacobians=False)
-    assert err.value.step >= 0
+    # x' = x^3 from 3 overflows within 8 steps of 0.05, whatever the noise
+    assert err.value.step == 8
 
 
 def test_mirrored_flow_equals_plain_flow_for_autonomous(cubic_bundle, fast_cfg):
@@ -344,7 +367,7 @@ def test_time_dependent_noise_matches_per_step_square_roots(monkeypatch):
         Lambda=10.0,
         r0=-1.0,
     )
-    cfg = sde.SimConfig(dt=0.05, n_paths=40, seed=4)
+    cfg = sde.SimConfig(dt=0.05, n_paths=2 * sde.BLOCK + 5, seed=4)
     roots = []
     monkeypatch.setattr(
         sde, "sqrtm_psd", lambda M: roots.append(M) or sqrtm_psd(M)
@@ -353,8 +376,16 @@ def test_time_dependent_noise_matches_per_step_square_roots(monkeypatch):
 
     times = sde._time_grid(0.0, 1.02, cfg.dt)
     assert len(roots) == 9 < len(times) - 1  # one per level of Q on [0, 1.02)
-    rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 0]))
-    Z = rng.standard_normal((len(times) - 1, sde.BLOCK, 2))[:, : cfg.n_paths, :]
+    # one Philox stream per sub-block of BLOCK paths, the last one partly used
+    Z = np.concatenate(
+        [
+            np.random.Generator(np.random.Philox(key=[cfg.seed, b])).standard_normal(
+                (len(times) - 1, sde.BLOCK, 2)
+            )
+            for b in range(3)
+        ],
+        axis=1,
+    )[:, : cfg.n_paths, :]
     X = np.tile([0.5, -0.2], (cfg.n_paths, 1))
     for k, (tk, h) in enumerate(zip(times[:-1], np.diff(times))):
         sig = sqrtm_psd(2.0 * spec.diffusion(tk))
