@@ -21,7 +21,7 @@ Entries:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -96,6 +96,7 @@ def _build_ou_const(name, p):
         -math.inf,
         r0=-p["rate"],
     )
+    spec = replace(spec, autonomous=True)
     return ScenarioBundle(name=name, spec=spec, model=model, params=dict(p))
 
 
@@ -161,6 +162,7 @@ def _cubic_family(name, p, center):
         Lambda=q,
         r0=-lin,
         name=name,
+        autonomous=True,
     )
     return ScenarioBundle(name=name, spec=spec, model=None, params=dict(p))
 

@@ -21,11 +21,14 @@ model; ``MonteCarloEngine`` propagates clouds with the path simulator, using
 ``n_inner`` replicate paths per evaluation point.  The Monte Carlo engine
 alone decides its clouds: ``cloud(t, stream)`` is a burn-in of
 ``cloud_size`` paths, and ``push(mu, s, t)`` carries a cloud through the
-kernel of G(t, s); every seed they use is derived here from ``cfg.seed``.
+kernel of G(t, s); every seed they use is derived here from ``cfg.seed``
+and a stream tag (``_STREAM_TAGS``).
 Through its memo (a run's, when given one) the analytic engine computes its
 omega fit, measures and kernel moments once per key, the Monte Carlo engine
-its burn-in clouds, and the L^p helpers below compute G(t, s)f and its
-gradient at an engine's outer points once per (s, t, f, order).
+its burn-in clouds once per (t, size, seed) -- once per (size, seed) for an
+autonomous spec, whose mu_t does not depend on t -- and the L^p helpers
+below compute G(t, s)f and its gradient at an engine's outer points once per
+(s, t, f, order).
 The helpers debias the inner-mean plug-in (the first-order Jensen
 correction in the inner variance, zero for the analytic engine) and share
 one core: a quadrature sum with a fixed relative tolerance under weights, a
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import sde
 from .errors import DomainError
-from .measures import EmpiricalMeasure, sample_mu
+from .measures import EmpiricalMeasure, burn_in_start, sample_mu
 from .memo import Memo
 from .model import reflect_time
 from .ou import estimate_omega0, evolution_measure, ou_apply_G
@@ -132,6 +135,16 @@ def _stream_seed(seed, stream, *times):
 _BURN_IN_TOL = 1e-3
 
 
+def _invariant_cloud(spec, tol, cfg):
+    """The burn-in cloud of an autonomous spec's invariant measure.
+
+    Coefficients that do not read the clock extend to the whole line, so the
+    cloud is sampled at t = 0 there; it records no time, since it stands for
+    mu_t at every t."""
+    mu = sample_mu(replace(spec, interval_start=-math.inf), 0.0, tol, cfg)
+    return replace(mu, t=None)
+
+
 class MonteCarloEngine:
     """Nested Monte Carlo evaluation for general dissipative drifts."""
 
@@ -157,14 +170,21 @@ class MonteCarloEngine:
 
     def _burn_in(self, t, seed):
         """:func:`kolmolab.measures.sample_mu` of cloud_size paths on
-        ``seed``, computed once per memo key."""
+        ``seed``, computed once per memo key.
+
+        An autonomous spec's key leaves t out: after checking that t's
+        burn-in fits the interval, every t shares one cloud."""
         cfg = replace(self.cfg, n_paths=self.cloud_size, seed=seed)
+        if self.spec.autonomous:
+            burn_in_start(self.spec, t, _BURN_IN_TOL)
+            return self.memo("clouds", _invariant_cloud, self.spec, _BURN_IN_TOL, cfg)
         return self.memo("clouds", sample_mu, self.spec, float(t), _BURN_IN_TOL, cfg)
 
     def cloud(self, t, stream="mu_t"):
         """A burn-in cloud of mu_t from ``stream``: "mu_t", "mu_s" or
         "flow_mid".  A stream's seed does not depend on t, so flow's two
-        offset clouds share their noise (common random numbers)."""
+        offset clouds share their noise (common random numbers), and for an
+        autonomous spec a stream gives one cloud at every t."""
         return self._burn_in(t, _stream_seed(self.cfg.seed, stream))
 
     def push(self, mu, s, t):

@@ -14,7 +14,9 @@ the terminal cloud of a long mirrored-clock burn-in (the mixing time is read
 off the declared contraction rate r0).  The mirrored clock -- coefficients
 swept from t + span back down to t -- is the path picture of the evolution
 operator (see :mod:`kolmolab.sde`); for autonomous drifts it coincides with
-the familiar burn-in from the past.
+the familiar burn-in from the past.  The burn-in grid does not depend on t,
+so for an autonomous spec, whose mu_t is one invariant measure, every t
+gives the same cloud.
 """
 
 from __future__ import annotations
@@ -89,16 +91,20 @@ class Defect:
     rhs: float = math.nan
 
 
+def _burn_in_span(spec, tol, x0_norm=0.0):
+    """The mixing span log(D / tol) / |r0| with D = 10 (1 + |x0|)."""
+    if spec.r0 >= 0.0:
+        raise DomainError("burn-in needs a negative contraction rate r0")
+    return math.log(10.0 * (1.0 + x0_norm) / tol) / abs(spec.r0)
+
+
 def burn_in_start(spec, t, tol=1e-3, x0_norm=0.0):
     """Start time s0 = t - log(D / tol) / |r0| with D = 10 (1 + |x0|).
 
     The contraction rate r0 turns the distance-to-equilibrium target ``tol``
     into a mixing span; raises HorizonError when s0 does not fit into the
     time interval."""
-    if spec.r0 >= 0.0:
-        raise DomainError("burn-in needs a negative contraction rate r0")
-    D = 10.0 * (1.0 + x0_norm)
-    s0 = t - math.log(D / tol) / abs(spec.r0)
+    s0 = t - _burn_in_span(spec, tol, x0_norm)
     if s0 <= spec.interval_start:
         raise HorizonError(
             f"burn-in start {s0:.4g} falls outside the interval "
@@ -110,15 +116,19 @@ def burn_in_start(spec, t, tol=1e-3, x0_norm=0.0):
 def sample_mu(spec, t, tol=1e-3, cfg=None):
     """Empirical surrogate of mu_t: terminal cloud of a burn-in simulation.
 
-    The burn-in runs on [s0, t] with the drift clock mirrored about t, so
-    the dynamics sweep the coefficient window [t, 2t - s0] back toward t;
+    The burn-in runs ``reflect_time(spec, t)`` on the grid [-span, 0], so
+    the dynamics sweep the coefficient window [t, t + span] back toward t;
     long mirrored runs forget their start and settle on the time-t member of
     the evolution system (for autonomous drifts this is the plain burn-in).
+    The grid does not depend on t, so an autonomous spec gives the same
+    cloud, bit for bit, at every t whose burn-in start ``burn_in_start``
+    admits.
     """
     s0 = burn_in_start(spec, t, tol)
     x0 = np.zeros(spec.dim)
     bundle = sde.simulate(
-        reflect_time(spec, 2.0 * t), s0, t, x0, cfg, with_jacobians=False
+        reflect_time(spec, t), -_burn_in_span(spec, tol), 0.0, x0, cfg,
+        with_jacobians=False,
     )
     cfg = bundle.cfg
     return EmpiricalMeasure(

@@ -144,7 +144,10 @@ class ProblemSpec:
     the batch convention in the module docstring.  ``interval_start`` is the
     left endpoint of the open time interval; use ``-inf`` for the whole line.
     ``affine_drift`` declares b affine in x, so that jac_b(t, x) does not
-    depend on x; only the builders of linear specs set it.
+    depend on x; only the builders of linear specs set it.  ``autonomous``
+    declares that Q, b and jac_b do not depend on t, so that the evolution
+    system is one invariant measure, mu_t = mu for every t; only the catalog
+    builders of time-independent entries set it.
     """
 
     dim: int
@@ -157,6 +160,7 @@ class ProblemSpec:
     r0: float
     name: str = ""
     affine_drift: bool = False
+    autonomous: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -213,9 +217,9 @@ def reflect_time(spec, pivot):
     ``reflect_time(spec, s + t)`` over [s, t] produces exactly that sweep.
     For autonomous coefficients the reflected problem is the original one.
 
-    The declared constants and ``affine_drift`` carry over unchanged --
-    hypotheses (i), (ii) and (iv) only constrain the coefficient values, not
-    how the clock is read.
+    The declared constants, ``affine_drift`` and ``autonomous`` carry over
+    unchanged -- hypotheses (i), (ii) and (iv) only constrain the
+    coefficient values, not how the clock is read.
     The reflected spec has no left time endpoint; callers must keep the swept
     coefficient window ``pivot - [s, t]`` inside the original interval.
     """

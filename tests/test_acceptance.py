@@ -156,9 +156,7 @@ def test_02_evolution_measure_exactness(ou_const_bundle, ou_periodic_bundle):
 # ---------------------------------------------------------------------
 
 
-def test_03_invariance_identity(
-    ou_const_bundle, ou_periodic_bundle, cubic_bundle, cubic_spec
-):
+def test_03_invariance_identity(ou_const_bundle, ou_periodic_bundle, cubic_bundle):
     fam = functions.bounded_test_family(1)[4:14]  # ten smooth members
     pairs = [(0.0, 0.5), (0.25, 1.25), (0.5, 2.0)]
 
@@ -171,12 +169,14 @@ def test_03_invariance_identity(
             worst_ou = max(worst_ou, abs(d.value))
     ok_ou = worst_ou <= 1e-6
 
+    # mu_s and mu_t from the engine's independent streams: clouds from one
+    # seed would be one cloud of the autonomous cubic's invariant measure
     cfg = sde.SimConfig(dt=2e-3, n_paths=8000, seed=71)
-    mc_engine = engines.engine_for(cubic_bundle, cfg=cfg)
+    mc_engine = engines.engine_for(cubic_bundle, cfg=cfg, cloud_size=8000)
     worst_z = 0.0
     for j, (s, t) in enumerate([(0.0, 0.75), (0.5, 1.5)]):
-        mu_s = measures.sample_mu(cubic_spec, s, 1e-3, cfg)
-        mu_t = measures.sample_mu(cubic_spec, t, 1e-3, cfg)
+        mu_s = mc_engine.cloud(s, "mu_s")
+        mu_t = mc_engine.cloud(t)
         for f in fam[5 * j : 5 * j + 5]:
             d, = measures.invariance_defect(mc_engine, s, t, [f], mu_s=mu_s, mu_t=mu_t)
             worst_z = max(worst_z, abs(d.value) / d.tolerance)

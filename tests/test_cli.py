@@ -1,10 +1,16 @@
-"""End-to-end command line checks, run in process via cli.main."""
+"""End-to-end command line checks, run in process via cli.main (the
+``python -m kolmolab`` entry point runs in a subprocess)."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import kolmolab
 from kolmolab import cli
 from kolmolab.ineq import CSV_COLUMNS
 
@@ -69,6 +75,19 @@ def test_version_exits_cleanly(capsys):
         cli.main(["--version"])
     assert ei.value.code == 0
     assert "kolmolab" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs():
+    # a checkout without an installed console script runs as a module
+    src = str(Path(kolmolab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kolmolab", "--help"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: kolmolab")
 
 
 def test_run_writes_reports(tmp_path, capsys):

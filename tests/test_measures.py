@@ -291,6 +291,55 @@ def test_every_stream_of_a_run_is_distinct(cubic_bundle, monkeypatch):
     assert len(set(seeds)) == len(seeds)
 
 
+def test_autonomous_clouds_are_one_burn_in(cubic_bundle, monkeypatch):
+    # mu_t = mu for an autonomous spec: the mu_t stream is sampled once for
+    # every t, while measure(t) keeps a stream per t
+    calls = []
+    real = engines.sample_mu
+
+    def sample(spec, t, tol, cfg):
+        calls.append(cfg.seed)
+        return real(spec, t, tol, cfg)
+
+    monkeypatch.setattr(engines, "sample_mu", sample)
+    engine = engines.engine_for(cubic_bundle, cfg=STREAM_CFG, cloud_size=64)
+    clouds = [engine.cloud(t) for t in (0.0, 0.5, 0.99, 1.01)]
+    assert calls == [engines._stream_seed(STREAM_CFG.seed, "mu_t")]
+    assert all(c is clouds[0] for c in clouds)
+    assert clouds[0].t is None
+    a, b = engine.measure(0.5), engine.measure(1.0)
+    assert len(calls) == 3
+    assert a is not b and not np.array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.5])
+def test_burn_in_grid_matches_the_mirrored_window(ou_periodic_bundle, t):
+    # the burn-in on [-span, 0] about pivot t sweeps the same coefficients
+    # as the run of reflect_time(spec, 2t) over [t - span, t]
+    spec = ou_periodic_bundle.spec
+    engine = engines.MonteCarloEngine(spec, cfg=STREAM_CFG, cloud_size=64)
+    cfg = replace(
+        STREAM_CFG, n_paths=64, seed=engines._stream_seed(STREAM_CFG.seed, "mu_t")
+    )
+    s0 = measures.burn_in_start(spec, t, 1e-3)
+    ref = sde.simulate(
+        reflect_time(spec, 2.0 * t), s0, t, np.zeros(1), cfg, with_jacobians=False
+    )
+    got = engine.cloud(t).samples
+    assert got.shape == ref.states.shape
+    assert np.max(np.abs(got - ref.states)) <= 1e-12
+
+
+def test_autonomous_cloud_still_checks_each_horizon(cubic_bundle):
+    # the shared cloud does not waive the interval check of the asked t
+    spec = replace(cubic_bundle.spec, interval_start=0.0)
+    engine = engines.MonteCarloEngine(spec, cfg=STREAM_CFG, cloud_size=64)
+    mu = engine.cloud(20.0)
+    assert engine.cloud(30.0) is mu
+    with pytest.raises(HorizonError):
+        engine.cloud(5.0)
+
+
 def test_invariance_reuses_supplied_measures(ou_const_engine):
     mu = evolution_measure(ou_const_engine.model, 0.0)
     x2 = functions.quadratic(np.array([[1.0]]))

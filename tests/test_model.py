@@ -438,9 +438,27 @@ def test_only_linear_specs_declare_an_affine_drift(name):
         assert bundle.model.as_problem_spec().affine_drift is True
 
 
+@pytest.mark.parametrize("name", catalog.names())
+def test_only_autonomous_specs_declare_it(name):
+    # a wrong declaration would merge the clouds of distinct mu_t
+    spec = catalog.get(name).spec
+    autonomous = name in ("cubic_dissipative", "double_well_shifted", "ou_const")
+    assert spec.autonomous is autonomous
+    assert reflect_time(spec, 1.0).autonomous is autonomous
+    if autonomous:
+        x = np.linspace(-3.0, 3.0, 7)[:, None] * np.ones(spec.dim)
+        ref = (spec.drift(0.0, x), spec.drift_jacobian(0.0, x), spec.diffusion(0.0))
+        for t in (-3.0, 0.7, 5.0):
+            assert np.array_equal(spec.drift(t, x), ref[0])
+            assert np.array_equal(spec.drift_jacobian(t, x), ref[1])
+            assert np.array_equal(spec.diffusion(t), ref[2])
+
+
 def test_hand_built_spec_has_no_affine_drift():
-    # even a linear one: only the builders of linear specs declare it
+    # even a linear one: only the builders of linear specs declare it, and
+    # only catalog builders declare a spec autonomous
     assert linear_scalar_spec().affine_drift is False
+    assert linear_scalar_spec().autonomous is False
 
 
 def test_as_problem_spec_measures_only_missing_constants(monkeypatch):
