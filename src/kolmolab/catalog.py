@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ScenarioError
+from .errors import ScenarioError
 from .model import ProblemSpec
 from .ou import OUModel
 

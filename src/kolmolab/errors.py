@@ -48,10 +48,6 @@ class BlowUpError(KolmolabError):
         self.step = step
 
 
-class UnboundedFunctionError(KolmolabError):
-    """An unbounded integrand was used without a dominating certificate."""
-
-
 class ConstantFunctionError(KolmolabError):
     """A quotient that requires a non-constant function received a constant."""
 

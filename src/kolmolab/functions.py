@@ -48,13 +48,7 @@ def constant(c, dim=1):
         value=value,
         gradient=gradient,
         hessian=hessian,
-        meta=FunctionMeta(
-            bounded=True,
-            sup_norm=abs(cval),
-            grad_sup_norm=0.0,
-            positive_inf=cval if cval > 0 else None,
-            name=f"const({cval:g})",
-        ),
+        meta=FunctionMeta(bounded=True, name=f"const({cval:g})"),
     )
 
 
@@ -132,12 +126,7 @@ def tanh_ridge(w, b=0.0, dim=None):
         value=value,
         gradient=gradient,
         hessian=hessian,
-        meta=FunctionMeta(
-            bounded=True,
-            sup_norm=1.0,
-            grad_sup_norm=wn,
-            name=f"tanh({wn:g},{b:g})",
-        ),
+        meta=FunctionMeta(bounded=True, name=f"tanh({wn:g},{b:g})"),
     )
 
 
@@ -160,8 +149,7 @@ def sin_ridge(w, b=0.0, dim=None):
         gradient=gradient,
         hessian=hessian,
         meta=FunctionMeta(
-            bounded=True, sup_norm=1.0, grad_sup_norm=float(np.linalg.norm(w)),
-            name=f"sin({float(np.linalg.norm(w)):g},{b:g})",
+            bounded=True, name=f"sin({float(np.linalg.norm(w)):g},{b:g})"
         ),
     )
 
@@ -190,12 +178,7 @@ def gaussian_bump(center=0.0, width=1.0, dim=None):
         value=value,
         gradient=gradient,
         hessian=hessian,
-        meta=FunctionMeta(
-            bounded=True,
-            sup_norm=1.0,
-            grad_sup_norm=np.exp(-0.5) / float(width),
-            name=f"bump({c[0]:g},{float(width):g})",
-        ),
+        meta=FunctionMeta(bounded=True, name=f"bump({c[0]:g},{float(width):g})"),
     )
 
 
@@ -262,8 +245,6 @@ def smooth_plateau(r1=2.0, r2=4.0, center=0.0, dim=1, height=1.0):
             compact_support=True,
             support_radius=float(r2 + np.linalg.norm(c)),
             outside_value=0.0,
-            sup_norm=abs(height),
-            grad_sup_norm=abs(height) * 1.875 / width,
             name=f"plateau({r1:g},{r2:g})",
         ),
     )
@@ -294,7 +275,6 @@ def truncated_exp_ridge(lam=0.5, w=None, flat=7.0, cap=8.0, dim=1):
     bounded and C^2 everywhere.
     """
     w = np.ones(dim) if w is None else np.asarray(w, dtype=float)
-    smax = flat + 0.5 * (cap - flat)
 
     def value(x):
         s, _, _ = _saturate(x @ w, flat, cap)
@@ -314,12 +294,7 @@ def truncated_exp_ridge(lam=0.5, w=None, flat=7.0, cap=8.0, dim=1):
         value=value,
         gradient=gradient,
         hessian=hessian,
-        meta=FunctionMeta(
-            bounded=True,
-            sup_norm=float(np.exp(abs(lam) * smax)),
-            positive_inf=float(np.exp(-abs(lam) * smax)),
-            name=f"trunc-exp({lam:g})",
-        ),
+        meta=FunctionMeta(bounded=True, name=f"trunc-exp({lam:g})"),
     )
 
 
@@ -352,16 +327,6 @@ def combine(coeffs, fns, const=0.0):
             out = out + a * f.hessian(x)
         return out
 
-    bounded = all(f.meta.bounded for f in fns)
-    sup = None
-    if bounded and all(f.meta.sup_norm is not None for f in fns):
-        sup = abs(const) + sum(abs(a) * f.meta.sup_norm for a, f in zip(coeffs, fns))
-    lower = None
-    if bounded and sup is not None and const > 0:
-        slack = const - sum(
-            abs(a) * f.meta.sup_norm for a, f in zip(coeffs, fns)
-        )
-        lower = slack if slack > 0 else None
     compact = all(f.meta.compact_support for f in fns)
     return TestFunction(
         dim=dim,
@@ -369,7 +334,7 @@ def combine(coeffs, fns, const=0.0):
         gradient=gradient,
         hessian=hessian if have_hess else None,
         meta=FunctionMeta(
-            bounded=bounded,
+            bounded=all(f.meta.bounded for f in fns),
             compact_support=compact,
             support_radius=max((f.meta.support_radius or 0.0) for f in fns)
             if compact
@@ -378,8 +343,6 @@ def combine(coeffs, fns, const=0.0):
             + sum(a * f.meta.outside_value for a, f in zip(coeffs, fns))
             if compact
             else 0.0,
-            sup_norm=sup,
-            positive_inf=lower,
             name="combo",
         ),
     )

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import special
 
 from . import sde
-from .errors import DomainError, HorizonError, UnboundedFunctionError
+from .errors import DomainError, HorizonError
 from .functions import bounded_test_family
 from .io import atomic_write_text
 from .model import apply_generator, reflect_time
@@ -42,7 +42,6 @@ __all__ = [
     "GapReport",
     "burn_in_start",
     "sample_mu",
-    "mean_functional",
     "invariance_defect",
     "tightness_profile",
     "flow_derivative_defect",
@@ -143,30 +142,6 @@ def sample_mu(spec, t, tol=1e-3, cfg=None):
             "n_paths": cfg.n_paths,
         },
     )
-
-
-def mean_functional(mu, f, certificate=None, order=64):
-    """int f d mu.
-
-    Gaussian measures integrate by quadrature (see
-    :meth:`GaussianMeasure.expectation`).  Sample clouds (rules without
-    quadrature weights) refuse unbounded f unless a Lyapunov certificate
-    whose phi dominates |f| on the cloud is supplied.
-    """
-    if not f.meta.bounded and mu.rule(order)[1] is None:
-        if certificate is None:
-            raise UnboundedFunctionError(
-                f"refusing unbounded integrand {f.meta.name!r} against an "
-                "empirical measure without a dominating Lyapunov certificate"
-            )
-        ratio = np.abs(f.value(mu.samples)) / (
-            1.0 + certificate.phi.value(mu.samples)
-        )
-        if not np.all(np.isfinite(ratio)):
-            raise UnboundedFunctionError(
-                "certificate does not dominate the integrand on the cloud"
-            )
-    return mu.expectation(f, order)[0]
 
 
 def invariance_defect(engine, s, t, fns, mu_s=None, mu_t=None, order=64):

@@ -13,14 +13,15 @@ and referred to by number throughout (audit reports, validation messages):
   (ii)  uniform ellipticity:  eta0 |xi|^2 <= <Q(t) xi, xi> <= Lambda |xi|^2
         with 0 < eta0 <= Lambda;
   (iii) a Lyapunov function exists:  some phi >= 1 with A(t) phi <= a - c phi
-        (constructed, not assumed -- see the certificate builders below);
+        (constructed, not assumed -- see :func:`build_lyapunov_gaussian`);
   (iv)  joint dissipativity:  <jac_b(t, x) xi, xi> <= r0 |xi|^2 for all
         (t, x) and xi, with a strictly negative constant r0 < 0.
 
 Nothing here trusts the declarations: :func:`audit_hypotheses` and
 :func:`check_monotonicity` measure the worst-case slack of each condition on
-a grid and report margins, and the Lyapunov builders construct explicit
-certificate functions phi with A(t) phi <= a - c phi on the audit box.
+a grid and report margins, and :func:`build_lyapunov_gaussian` constructs an
+explicit certificate function phi with A(t) phi <= a - c phi on the audit
+box.
 
 Vectorization convention used throughout the package: state batches are
 arrays of shape (n, d); ``b(t, X)`` maps (n, d) -> (n, d) and ``jac_b(t, X)``
@@ -56,8 +57,6 @@ __all__ = [
     "apply_generator",
     "audit_hypotheses",
     "check_monotonicity",
-    "check_gradients",
-    "build_lyapunov_power",
     "build_lyapunov_gaussian",
 ]
 
@@ -83,19 +82,15 @@ def as_batch(x, dim):
 class FunctionMeta:
     """Declared analytic facts about a test function.
 
-    ``positive_inf`` is the known positive infimum of the function (None when
-    the function may vanish or change sign).  ``compact_support`` means the
-    function is constant outside the ball of radius ``support_radius``
-    (constant value ``outside_value``, usually zero).
+    ``compact_support`` means the function is constant outside the ball of
+    radius ``support_radius`` (constant value ``outside_value``, usually
+    zero).
     """
 
     bounded: bool = True
     compact_support: bool = False
     support_radius: Optional[float] = None
     outside_value: float = 0.0
-    positive_inf: Optional[float] = None
-    sup_norm: Optional[float] = None
-    grad_sup_norm: Optional[float] = None
     name: str = ""
 
 
@@ -257,7 +252,6 @@ class LyapunovCertificate:
     a: float
     c: float
     delta: float = 0.0
-    kind: str = ""
 
     def __post_init__(self):
         if not (self.a >= 0.0 and self.c > 0.0):
@@ -422,71 +416,6 @@ def check_monotonicity(spec, ts=None, pairs=None, n_pairs=256, seed=7):
     )
 
 
-def check_gradients(f, xs, h=1e-5, rel_tol=1e-5):
-    """Compare f.gradient with central finite differences of f.value.
-
-    Returns the worst relative error over the points; raises nothing.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    g = f.grad(xs)
-    worst = 0.0
-    scale = np.max(np.abs(g)) + 1.0
-    for j in range(f.dim):
-        e = np.zeros(f.dim)
-        e[j] = h
-        fd = (f(xs + e) - f(xs - e)) / (2.0 * h)
-        worst = max(worst, float(np.max(np.abs(fd - g[:, j])) / scale))
-    return worst
-
-
-def _radial_exp_power(dim, delta, beta):
-    """phi(x) = exp(delta |x|^beta) as a TestFunction (beta >= 2)."""
-
-    def value(x):
-        r = np.linalg.norm(x, axis=-1)
-        return np.exp(delta * r**beta)
-
-    def gradient(x):
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        phi = np.exp(delta * r**beta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coeff = np.where(r > 0.0, delta * beta * r ** (beta - 2.0), 0.0)
-        if beta == 2.0:
-            coeff = np.full_like(r, 2.0 * delta)
-        return coeff * x * phi
-
-    def hessian(x):
-        n = x.shape[0]
-        r = np.linalg.norm(x, axis=-1)
-        phi = np.exp(delta * r**beta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            unit = np.where(r[:, None] > 0.0, x / np.maximum(r[:, None], 1e-300), 0.0)
-            c1 = np.where(r > 0.0, delta * beta * r ** (beta - 2.0), 0.0)
-            c2 = np.where(
-                r > 0.0,
-                delta * beta * (beta - 2.0) * r ** (beta - 2.0)
-                + (delta * beta) ** 2 * r ** (2.0 * beta - 2.0),
-                0.0,
-            )
-        if beta == 2.0:
-            c1 = np.full_like(r, 2.0 * delta)
-            c2 = (delta * beta) ** 2 * r**2
-        eye = np.eye(dim)
-        outer = unit[:, :, None] * unit[:, None, :]
-        H = c1[:, None, None] * eye[None, :, :] + c2[:, None, None] * outer
-        return H * phi[:, None, None]
-
-    return TestFunction(
-        dim=dim,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        meta=FunctionMeta(
-            bounded=False, positive_inf=1.0, name=f"exp({delta:g}*|x|^{beta:g})"
-        ),
-    )
-
-
 def _radial_exp_gaussian(dim, delta, center):
     """phi(x) = exp(delta |x - center|^2) as a TestFunction."""
     c = np.asarray(center, dtype=float).reshape(dim)
@@ -514,35 +443,31 @@ def _radial_exp_gaussian(dim, delta, center):
         value=value,
         gradient=gradient,
         hessian=hessian,
-        meta=FunctionMeta(bounded=False, positive_inf=1.0, name="exp(d*|x-y|^2)"),
+        meta=FunctionMeta(bounded=False, name="exp(d*|x-y|^2)"),
     )
 
 
-def _certificate_grid(spec, delta, beta, grid):
-    """Cap the fitting box so exp(delta r^beta) stays representable.
+def _certificate_grid(spec, delta, grid):
+    """Cap the fitting box so exp(delta r^2) stays representable.
 
     The line search needs finite values of phi and A(t) phi; past the cap
     the certificate is vacuous numerically (the exponential overflows), so
     the box is shrunk to where the exponent is at most 600.
     """
-    cap = (600.0 / delta) ** (1.0 / beta)
+    cap = (600.0 / delta) ** 0.5
     if cap < grid.box_radius:
         return default_audit_grid(spec, box_radius=cap)
     return grid
 
 
-def _fit_certificate(spec, phi, grid, interior_fraction=0.95, max_halvings=60):
-    """Line-search c over {|r0| / 2^k}; accept when the box maximum of
-    A(t) phi + c phi sits strictly inside the box, then set
+def _fit_certificate(spec, phi, grid):
+    """Line-search c over {|r0| / 2^k}, k < 60; accept when the box maximum
+    of A(t) phi + c phi sits within 95% of the box radius, then set
     a = max(0, that maximum)."""
-    if spec.r0 >= 0.0:
-        raise CertificateUnavailableError(
-            "certificates require a negative dissipativity constant r0"
-        )
     radius = grid.box_radius
     r = np.linalg.norm(grid.xs, axis=-1)
     c = abs(spec.r0)
-    for _ in range(max_halvings):
+    for _ in range(60):
         worst_val = -math.inf
         worst_r = 0.0
         for t in grid.ts:
@@ -556,7 +481,7 @@ def _fit_certificate(spec, phi, grid, interior_fraction=0.95, max_halvings=60):
             if vals[k] > worst_val:
                 worst_val = float(vals[k])
                 worst_r = float(r[k])
-        if worst_r <= interior_fraction * radius:
+        if worst_r <= 0.95 * radius:
             a = max(0.0, worst_val)
             return a, c
         c *= 0.5
@@ -565,39 +490,6 @@ def _fit_certificate(spec, phi, grid, interior_fraction=0.95, max_halvings=60):
         "the audit box; enlarge the box or revisit the drift bounds",
         witness=worst_r,
     )
-
-
-def build_lyapunov_power(spec, beta, K1, R=1.0, grid=None):
-    """Certificate phi = exp(delta |x|^beta) with delta = K1 / (2 beta Lambda).
-
-    Precondition (checked on the grid): <b(t,x), x> <= -K1 |x|^beta for
-    |x| >= R.  Raises CertificateUnavailableError with a witness point when
-    the drift fails that bound.
-    """
-    if beta < 2.0:
-        raise DomainError("beta must be >= 2 for a twice-differentiable phi")
-    if K1 <= 0.0:
-        raise DomainError("K1 must be positive")
-    if grid is None:
-        grid = default_audit_grid(spec)
-    r = np.linalg.norm(grid.xs, axis=-1)
-    outer = grid.xs[r >= R]
-    router = r[r >= R]
-    for t in grid.ts:
-        bv = spec.drift(t, outer)
-        inner_prod = np.einsum("ni,ni->n", bv, outer)
-        excess = inner_prod + K1 * router**beta
-        k = int(np.argmax(excess))
-        if excess[k] > MARGIN_TOL:
-            raise CertificateUnavailableError(
-                f"drift does not satisfy <b,x> <= -K1 |x|^beta "
-                f"(excess {excess[k]:.3e})",
-                witness=(float(t), outer[k].copy()),
-            )
-    delta = 0.5 * K1 / (beta * spec.Lambda)
-    phi = _radial_exp_power(spec.dim, delta, float(beta))
-    a, c = _fit_certificate(spec, phi, _certificate_grid(spec, delta, beta, grid))
-    return LyapunovCertificate(phi=phi, a=a, c=c, delta=delta, kind="power")
 
 
 def build_lyapunov_gaussian(spec, ybar=None, K2=None, grid=None):
@@ -624,5 +516,5 @@ def build_lyapunov_gaussian(spec, ybar=None, K2=None, grid=None):
         )
     delta = abs(spec.r0) / (4.0 * spec.Lambda)
     phi = _radial_exp_gaussian(spec.dim, delta, y)
-    a, c = _fit_certificate(spec, phi, _certificate_grid(spec, delta, 2.0, grid))
-    return LyapunovCertificate(phi=phi, a=a, c=c, delta=delta, kind="gaussian")
+    a, c = _fit_certificate(spec, phi, _certificate_grid(spec, delta, grid))
+    return LyapunovCertificate(phi=phi, a=a, c=c, delta=delta)

@@ -19,8 +19,9 @@ ensemble, bit for bit, without simulating a single state.
 
 The kernel of the evolution operator G(t, s) is realized by the
 MIRRORED-clock flow: its characteristics sweep the coefficients from t back
-down to s, so ``evaluate_G``/``evaluate_grad_G`` run the paths of
-``reflect_time(spec, s + t)`` (see :mod:`kolmolab.model`).  For autonomous
+down to s, so the Monte Carlo engine (:mod:`kolmolab.engines`) evaluates
+G(t, s) on paths of ``reflect_time(spec, s + t)`` (see
+:mod:`kolmolab.model`).  For autonomous
 coefficients the mirrored flow is the plain flow; for time-dependent ones
 the distinction is exactly what makes the evaluated operator satisfy the
 invariance identity against the evolution system of measures.
@@ -46,17 +47,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import BlowUpError, DomainError, EvaluationError
-from .model import as_batch, default_audit_grid, reflect_time
+from .model import default_audit_grid
 from .ou import sqrtm_psd
 
 __all__ = [
     "BLOCK",
     "SimConfig",
     "PathBundle",
-    "GradEstimate",
     "simulate",
-    "evaluate_G",
-    "evaluate_grad_G",
     "jacobian_norms",
     "jacobian_bound_violations",
     "jacobian_certificate",
@@ -242,59 +240,6 @@ def simulate(spec, s, t, x, cfg=None, with_jacobians=True):
         k += kc
 
     return PathBundle(states=X, jacobians=J, s=float(s), t=float(t), cfg=cfg)
-
-
-def evaluate_G(spec, s, t, f, x, cfg=None, bundle=None):
-    """Monte Carlo (mean, stderr) of (G(t,s) f)(x).
-
-    The ensemble runs the mirrored-clock flow (module docstring), which is
-    the path picture of the evolution operator.  Reuses ``bundle`` when
-    given; it must match (s, t, x) and come from the same mirrored run."""
-    if bundle is None:
-        bundle = simulate(
-            reflect_time(spec, s + t), s, t, x, cfg, with_jacobians=False
-        )
-    vals = np.asarray(f.value(bundle.states), dtype=float)
-    mean = float(np.mean(vals))
-    n = vals.shape[0]
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return mean, stderr
-
-
-@dataclass(frozen=True)
-class GradEstimate:
-    """Pathwise gradient estimate with its contraction certificate.
-
-    ``bound`` is exp(r0 (t-s)) * E[|grad f(X(t))|] (+stderr), which the
-    euclidean norm of ``grad`` must respect up to sampling error.
-    """
-
-    grad: np.ndarray
-    stderr: np.ndarray
-    bound: float
-    bound_stderr: float
-
-
-def evaluate_grad_G(spec, s, t, f, x, cfg=None, bundle=None):
-    """Pathwise estimate E[J(t)^T grad f(X(t))] of grad_x (G(t,s) f)(x).
-
-    Like :func:`evaluate_G`, the ensemble runs the mirrored-clock flow."""
-    if bundle is None:
-        bundle = simulate(
-            reflect_time(spec, s + t), s, t, x, cfg, with_jacobians=True
-        )
-    if bundle.jacobians is None:
-        raise DomainError("bundle was simulated without Jacobians")
-    g = np.asarray(f.gradient(bundle.states), dtype=float)
-    per_path = np.einsum("nij,ni->nj", bundle.jacobians, g)
-    n = per_path.shape[0]
-    grad = per_path.mean(axis=0)
-    stderr = per_path.std(axis=0, ddof=1) / math.sqrt(n)
-    norms = np.linalg.norm(g, axis=1)
-    factor = math.exp(spec.r0 * (t - s))
-    bound = factor * float(norms.mean())
-    bound_stderr = factor * float(norms.std(ddof=1) / math.sqrt(n))
-    return GradEstimate(grad=grad, stderr=stderr, bound=bound, bound_stderr=bound_stderr)
 
 
 def jacobian_norms(bundle):

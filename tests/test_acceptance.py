@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from conftest import mc_G
 from kolmolab import catalog, engines, functions, measures, sde
-from kolmolab.engines import lp_norm_measure
 from kolmolab.ineq import (
     decay_fit_A,
     decay_fit_B,
@@ -31,6 +31,7 @@ from kolmolab.ineq import (
     poincare_quotient,
     rate_agreement,
 )
+from kolmolab.model import reflect_time
 from kolmolab.ou import (
     estimate_omega0,
     evolution_measure,
@@ -489,12 +490,12 @@ def test_10_cross_engine_agreement():
             x = np.array([x0])
             cfg = sde.SimConfig(dt=1e-3, n_paths=25000, seed=97)
             paths = sde.simulate(
-                sde.reflect_time(bundle.spec, s + t), s, t, x, cfg,
+                reflect_time(bundle.spec, s + t), s, t, x, cfg,
                 with_jacobians=False,
             )
             for f in fs:
                 exact = float(ou_apply_G(bundle.model, t, s, f, x[None, :])[0])
-                est, se = sde.evaluate_G(bundle.spec, s, t, f, x, bundle=paths)
+                est, se = mc_G(bundle.spec, s, t, f, x, paths=paths)
                 worst_z = max(worst_z, abs(est - exact) / max(se, 1e-300))
                 n_cases += 1
     ok_z = worst_z <= 3.0
@@ -506,12 +507,10 @@ def test_10_cross_engine_agreement():
     for dt in (1e-3, 5e-4):
         cfg = sde.SimConfig(dt=dt, n_paths=25000, seed=53)
         paths = sde.simulate(
-            sde.reflect_time(bundle.spec, s + t), s, t, x, cfg,
+            reflect_time(bundle.spec, s + t), s, t, x, cfg,
             with_jacobians=False,
         )
-        vals[dt] = [
-            sde.evaluate_G(bundle.spec, s, t, f, x, bundle=paths) for f in fs
-        ]
+        vals[dt] = [mc_G(bundle.spec, s, t, f, x, paths=paths) for f in fs]
     worst_dt = 0.0
     ok_dt = True
     for (v1, s1), (v2, s2) in zip(vals[1e-3], vals[5e-4]):

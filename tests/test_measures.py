@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kolmolab import catalog, engines, functions, measures, sde
-from kolmolab.errors import DomainError, HorizonError, UnboundedFunctionError
+from kolmolab.errors import DomainError, HorizonError
 from kolmolab.model import build_lyapunov_gaussian, reflect_time
 from kolmolab.ou import GaussianMeasure, evolution_measure
 
@@ -18,39 +18,23 @@ def std_gaussian(dim=1):
 
 
 # ----------------------------------------------------------------------
-# mean_functional
+# mean functionals: int f d mu
 # ----------------------------------------------------------------------
 
 
 def test_mean_of_constant_is_exact():
     one = functions.constant(1.0, dim=1)
-    assert measures.mean_functional(std_gaussian(), one) == pytest.approx(
-        1.0, abs=1e-13
-    )
+    assert std_gaussian().expectation(one)[0] == pytest.approx(1.0, abs=1e-13)
     cloud = measures.EmpiricalMeasure(samples=np.random.default_rng(0).normal(size=(500, 1)))
-    assert measures.mean_functional(cloud, one) == pytest.approx(1.0, abs=1e-12)
+    assert cloud.expectation(one)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mean_functional_gaussian_moments():
     mu = GaussianMeasure(mean=np.array([1.0]), cov=np.array([[1.0]]))
     ident = functions.coordinate(0, dim=1)
-    assert measures.mean_functional(mu, ident) == pytest.approx(1.0, abs=1e-12)
+    assert mu.expectation(ident)[0] == pytest.approx(1.0, abs=1e-12)
     x2 = functions.quadratic(np.array([[1.0]]))
-    assert measures.mean_functional(std_gaussian(), x2) == pytest.approx(
-        1.0, abs=1e-12
-    )
-
-
-def test_unbounded_integrand_needs_certificate(cubic_bundle):
-    x2 = functions.quadratic(np.array([[1.0]]))
-    cloud = measures.EmpiricalMeasure(
-        samples=np.random.default_rng(1).normal(size=(400, 1))
-    )
-    with pytest.raises(UnboundedFunctionError):
-        measures.mean_functional(cloud, x2)
-    cert = build_lyapunov_gaussian(cubic_bundle.spec)
-    got = measures.mean_functional(cloud, x2, certificate=cert)
-    assert np.isfinite(got)
+    assert std_gaussian().expectation(x2)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 # ----------------------------------------------------------------------

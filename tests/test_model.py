@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import check_gradients
 from kolmolab import catalog, functions
 from kolmolab.errors import (
     CertificateUnavailableError,
@@ -19,8 +20,6 @@ from kolmolab.model import (
     apply_generator,
     audit_hypotheses,
     build_lyapunov_gaussian,
-    build_lyapunov_power,
-    check_gradients,
     check_monotonicity,
     default_audit_grid,
     reflect_time,
@@ -282,55 +281,9 @@ def test_monotonicity_catches_violation():
 # ----------------------------------------------------------------------
 
 
-def test_power_certificate_abs_drift():
-    # <b(t,x), x> = -|x|^3 gives beta = 3, K1 = 1: delta = 1/6
-    spec = scalar_spec(
-        b=lambda t, x: -np.abs(x) * x,
-        jac_b=lambda t, x: (-2.0 * np.abs(x))[..., None],
-        r0=-0.0 - 1e-9,  # not used by the builder
-    )
-    cert = build_lyapunov_power(spec, beta=3.0, K1=1.0)
-    assert cert.delta == pytest.approx(1.0 / 6.0)
-    assert cert.kind == "power"
-    assert cert.c > 0.0 and cert.a >= 0.0
-
-
-def test_power_certificate_cubic(cubic_bundle):
-    cert = build_lyapunov_power(cubic_bundle.spec, beta=4.0, K1=1.0)
-    assert cert.delta == pytest.approx(1.0 / 8.0)
-    # certificate inequality A(t) phi <= a - c phi holds wherever phi is
-    # representable (exp(|x|^4 / 8) overflows past |x| ~ 8.6)
-    spec = cubic_bundle.spec
-    grid = default_audit_grid(spec, box_radius=8.0)
-    for t in grid.ts[::8]:
-        lhs = apply_generator(spec, t, cert.phi, grid.xs)
-        rhs = cert.a - cert.c * cert.phi(grid.xs)
-        assert np.all(np.isfinite(lhs))
-        assert np.all(lhs <= rhs + 1e-9 * np.maximum(1.0, np.abs(rhs)))
-
-
-def test_power_certificate_rejects_bad_args(cubic_bundle):
-    with pytest.raises(DomainError):
-        build_lyapunov_power(cubic_bundle.spec, beta=1.5, K1=1.0)
-    with pytest.raises(DomainError):
-        build_lyapunov_power(cubic_bundle.spec, beta=3.0, K1=0.0)
-
-
-def test_power_certificate_rejects_expanding_drift():
-    spec = scalar_spec(
-        b=lambda t, x: x,
-        jac_b=lambda t, x: np.full((x.shape[0], 1, 1), 1.0),
-        r0=-1.0,
-    )
-    with pytest.raises(CertificateUnavailableError) as err:
-        build_lyapunov_power(spec, beta=3.0, K1=1.0)
-    assert err.value.witness is not None
-
-
 def test_gaussian_certificate_linear(ou_const_bundle):
     cert = build_lyapunov_gaussian(ou_const_bundle.spec, ybar=np.zeros(1), K2=0.0)
     assert cert.delta == pytest.approx(0.25)
-    assert cert.kind == "gaussian"
     spec = ou_const_bundle.spec
     grid = default_audit_grid(spec)
     for t in grid.ts[::8]:
@@ -364,9 +317,9 @@ def test_certificate_requires_valid_shape():
 
     phi = functions.constant(1.0, dim=1)
     with pytest.raises(DomainError):
-        LyapunovCertificate(phi=phi, a=-1.0, c=1.0, delta=0.1, kind="power")
+        LyapunovCertificate(phi=phi, a=-1.0, c=1.0, delta=0.1)
     with pytest.raises(DomainError):
-        LyapunovCertificate(phi=phi, a=0.0, c=0.0, delta=0.1, kind="power")
+        LyapunovCertificate(phi=phi, a=0.0, c=0.0, delta=0.1)
 
 
 # ----------------------------------------------------------------------

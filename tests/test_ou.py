@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from conftest import mc_G
 from kolmolab import functions, sde
-from kolmolab.errors import DomainError, NoEvolutionMeasureError, StiffnessError
+from kolmolab.errors import DomainError, NoEvolutionMeasureError
 from kolmolab.ou import (
     _MIN_WEIGHT,
     GaussianMeasure,
@@ -337,7 +338,7 @@ def test_mehler_vs_monte_carlo(ou_const_bundle, ou_periodic_bundle):
                 reflect_time(spec, s + t), s, t, x, cfg, with_jacobians=False
             )
             for f in battery:
-                mc, se = sde.evaluate_G(spec, s, t, f, x, bundle=paths)
+                mc, se = mc_G(spec, s, t, f, x, paths=paths)
                 exact = ou_apply_G(model, t, s, f, x)
                 z = abs(mc - exact) / max(se, 1e-12)
                 worst = max(worst, z)

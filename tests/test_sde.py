@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import mc_G, mc_grad_G
 from kolmolab import catalog, functions, sde
 from kolmolab.errors import BlowUpError, DomainError
 from kolmolab.model import ProblemSpec, reflect_time
@@ -97,23 +98,24 @@ def test_linear_jacobian_is_deterministic_contraction():
 def test_grad_estimate_linear_identity():
     spec = catalog.get("ou_const").spec
     cfg = sde.SimConfig(dt=1e-3, n_paths=4000, seed=2)
-    est = sde.evaluate_grad_G(
+    grad, se = mc_grad_G(
         spec, 0.0, 1.0, functions.coordinate(0, dim=1), np.array([0.5]), cfg
     )
     # the estimator averages J^T grad f; for f = x that is the deterministic
     # Jacobian itself, and it must respect the contraction certificate
-    assert est.stderr[0] <= 1e-12
-    assert abs(est.grad[0] - math.exp(-1.0)) <= 1e-3
-    assert est.grad[0] <= est.bound + 3.0 * est.bound_stderr + 1e-12
+    # exp(r0 (t - s)) |grad f|, with |grad f| = 1
+    assert se[0] <= 1e-12
+    assert abs(grad[0] - math.exp(-1.0)) <= 1e-3
+    assert grad[0] <= math.exp(spec.r0 * 1.0) + 1e-12
 
 
 # ----------------------------------------------------------------------
-# evaluate_G
+# Monte Carlo means of G(t, s) f
 # ----------------------------------------------------------------------
 
 
 def test_evaluate_constant_function(ou_const_bundle, fast_cfg):
-    mean, se = sde.evaluate_G(
+    mean, se = mc_G(
         ou_const_bundle.spec,
         0.0,
         1.0,
@@ -129,15 +131,13 @@ def test_evaluate_second_moment():
     spec = catalog.get("ou_const").spec
     cfg = sde.SimConfig(dt=1e-3, n_paths=40000, seed=6)
     f = functions.quadratic(np.array([[1.0]]))
-    mean, se = sde.evaluate_G(spec, 0.0, 1.0, f, np.array([0.0]), cfg)
+    mean, se = mc_G(spec, 0.0, 1.0, f, np.array([0.0]), cfg)
     assert abs(mean - (1.0 - math.exp(-2.0))) <= 3.5 * se + 1e-3
 
 
 def test_bounded_functions_stay_bounded(cubic_bundle, fast_cfg):
     f = functions.tanh_ridge(np.array([1.0]), 0.0)
-    mean, se = sde.evaluate_G(
-        cubic_bundle.spec, 0.0, 1.0, f, np.array([2.0]), fast_cfg
-    )
+    mean, se = mc_G(cubic_bundle.spec, 0.0, 1.0, f, np.array([2.0]), fast_cfg)
     assert abs(mean) <= 1.0 + 1e-12
 
 
@@ -149,11 +149,11 @@ def test_gradient_matches_common_noise_differences(cubic_bundle):
     cfg = sde.SimConfig(dt=1e-3, n_paths=8000, seed=14)
     f = functions.tanh_ridge(np.array([1.0]), 0.2)
     s, t, x0, eps = 0.0, 1.0, 0.6, 1e-3
-    est = sde.evaluate_grad_G(spec, s, t, f, np.array([x0]), cfg)
-    up, _ = sde.evaluate_G(spec, s, t, f, np.array([x0 + eps]), cfg)
-    dn, _ = sde.evaluate_G(spec, s, t, f, np.array([x0 - eps]), cfg)
+    grad, _ = mc_grad_G(spec, s, t, f, np.array([x0]), cfg)
+    up, _ = mc_G(spec, s, t, f, np.array([x0 + eps]), cfg)
+    dn, _ = mc_G(spec, s, t, f, np.array([x0 - eps]), cfg)
     fd = (up - dn) / (2.0 * eps)
-    assert abs(fd - est.grad[0]) <= 5e-3
+    assert abs(fd - grad[0]) <= 5e-3
 
 
 # ----------------------------------------------------------------------
@@ -238,10 +238,10 @@ def test_eps_dt_scales_linearly(ou_const_bundle):
 def test_schemes_agree_on_cubic(cubic_bundle):
     spec = cubic_bundle.spec
     f = functions.gaussian_bump(np.zeros(1), 1.0)
-    a = sde.evaluate_G(
+    a = mc_G(
         spec, 0.0, 1.0, f, np.array([1.0]), sde.SimConfig(dt=1e-3, n_paths=20000, seed=31)
     )
-    b = sde.evaluate_G(
+    b = mc_G(
         spec,
         0.0,
         1.0,
@@ -256,10 +256,10 @@ def test_schemes_agree_on_cubic(cubic_bundle):
 def test_dt_refinement_is_first_order(ou_const_bundle):
     spec = ou_const_bundle.spec
     f = functions.tanh_ridge(np.array([1.0]), 0.0)
-    coarse = sde.evaluate_G(
+    coarse = mc_G(
         spec, 0.0, 1.0, f, np.array([0.8]), sde.SimConfig(dt=2e-3, n_paths=20000, seed=41)
     )
-    fine = sde.evaluate_G(
+    fine = mc_G(
         spec, 0.0, 1.0, f, np.array([0.8]), sde.SimConfig(dt=1e-3, n_paths=20000, seed=42)
     )
     gap = abs(coarse[0] - fine[0])
