@@ -31,8 +31,10 @@ below compute G(t, s)f and its gradient at an engine's outer points once per
 (s, t, f, order).
 The helpers debias the inner-mean plug-in (the first-order Jensen
 correction in the inner variance, zero for the analytic engine) and share
-one core: a quadrature sum with a fixed relative tolerance under weights, a
-sample mean with its delta-method standard error without them.
+one core, which scales every magnitude by the largest so that the huge
+exponents of long hypercontractivity gaps stay finite: a quadrature sum
+with a fixed relative tolerance under weights, a sample mean with its
+delta-method standard error without them.
 """
 
 from __future__ import annotations
@@ -277,17 +279,33 @@ def rule_mean(vals, w):
     )
 
 
-def _lp_core(powers, w, p):
-    """(norm, tolerance) from per-point values of |g|^p under a rule.
+def _lp_core(a, w, p, var=None):
+    """(norm, tolerance) of the L^p norm from per-point magnitudes ``a`` under
+    a rule, debiased by the variance ``var`` of each point's plug-in value.
 
-    A quadrature norm carries the fixed relative tolerance _QUAD_REL_TOL; a
-    cloud norm carries the delta-method standard error."""
+    The norm is M (mean (a/M)^p - J)^(1/p) with M = max a, so no power
+    overflows or underflows at large p.  J is the first-order Jensen term
+    0.5 p (p - 1) (a/M)^(p-2) var / M^2, applied only where var > 0 (an
+    analytic value has none).  A quadrature norm carries the fixed relative
+    tolerance _QUAD_REL_TOL; a cloud norm carries the delta-method standard
+    error, and a negative debiased cloud mean is clipped to 1e-300."""
+    M = float(np.max(a)) or 1.0
+    u = a / M
+    powers = u**p
+    if var is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jensen = np.where(
+                (var > 0.0) & (a > 1e-12),
+                0.5 * p * (p - 1.0) * u ** (p - 2.0) * (var / M**2),
+                0.0,
+            )
+        powers = powers - jensen
     mp, se = rule_mean(powers, w)
     if w is not None:
-        norm = mp ** (1.0 / p)
+        norm = M * mp ** (1.0 / p)
         return norm, _QUAD_REL_TOL * max(1.0, norm)
     mp = max(mp, 1e-300)
-    norm = mp ** (1.0 / p)
+    norm = M * mp ** (1.0 / p)
     return norm, norm / p * se / mp
 
 
@@ -296,17 +314,7 @@ def lp_norm_measure(mu, f, p, order=64):
     if p < 1.0:
         raise DomainError("p must be >= 1")
     pts, w = mu.rule(order)
-    vals = np.abs(np.asarray(f.value(pts), dtype=float))
-    return _lp_core(vals**p, w, p)
-
-
-def _debiased_power(means, var_means, p):
-    """E|m_i|^p with the first-order Jensen correction removed."""
-    a = np.abs(means)
-    base = a**p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = 0.5 * p * (p - 1.0) * np.where(a > 1e-12, a ** (p - 2.0), 0.0) * var_means
-    return base - corr
+    return _lp_core(np.abs(np.asarray(f.value(pts), dtype=float)), w, p)
 
 
 def _G_at_outer_points(engine, grad, s, t, f, order):
@@ -328,7 +336,7 @@ def lp_norm_of_G(engine, s, t, f, p, shift=0.0, order=64):
     w, means, var_means = engine.memo(
         "G", _G_at_outer_points, engine, False, s, t, f, order
     )
-    return _lp_core(_debiased_power(means - shift, var_means, p), w, p)
+    return _lp_core(np.abs(means - shift), w, p, var_means)
 
 
 def grad_lp_norm_of_G(engine, s, t, f, p, order=64):
@@ -336,6 +344,6 @@ def grad_lp_norm_of_G(engine, s, t, f, p, order=64):
     w, means, var_means = engine.memo(
         "G", _G_at_outer_points, engine, True, s, t, f, order
     )
-    # Debias |m_i|^2 by the summed component variances before taking p/2.
+    # Debias |m_i|^2 by the summed component variances before the root.
     sq = np.einsum("nd,nd->n", means, means) - var_means.sum(axis=1)
-    return _lp_core(np.clip(sq, 0.0, None) ** (p / 2.0), w, p)
+    return _lp_core(np.sqrt(np.clip(sq, 0.0, None)), w, p)

@@ -230,6 +230,21 @@ def test_hyper_check_battery(ou_const_engine):
         assert res.passed and not res.skipped
 
 
+def test_hyper_check_at_a_long_gap(ou_const_engine):
+    # at gap 8, p(t) is 4.4e6 (q = 1.5) or 8.9e6 (q = 2): |G f|^p overflows
+    # where |G f| > 1 and underflows where it is < 1, unless the norm is
+    # scaled by max |G f|, which it then approaches
+    s, t = 0.0, 8.0
+    xs, _ = ou_const_engine.outer_points(ou_const_engine.measure(t))
+    for f in functions.hyper_battery(1, 10):
+        top = np.max(np.abs(ou_const_engine.apply_G_at(s, t, f, xs)[0]))
+        for q in (1.5, 2.0):
+            res = hyper_check(ou_const_engine, s, t, f, q)
+            assert np.isfinite([res.lhs, res.rhs, res.tolerance]).all()
+            assert res.passed and not res.skipped
+            assert abs(res.lhs - top) <= 1e-4 * top
+
+
 def test_hyper_check_continuity_at_equal_times(ou_const_engine):
     from kolmolab.engines import lp_norm_measure
 
