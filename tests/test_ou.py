@@ -345,6 +345,33 @@ def test_mehler_vs_monte_carlo(ou_const_bundle, ou_periodic_bundle):
     assert worst <= 3.0, f"worst z-score {worst:.2f}"
 
 
+def test_monte_carlo_engine_vs_closed_form(ou_const_bundle, ou_periodic_bundle):
+    # the evaluator the Monte Carlo engine runs in reports, values and
+    # pathwise gradients, z-scored with the engine's own variances
+    from kolmolab.engines import MonteCarloEngine
+
+    battery = [
+        functions.tanh_ridge(np.array([1.0]), 0.3),
+        functions.gaussian_bump(np.zeros(1), 1.2),
+        functions.sin_ridge(np.array([0.8]), 0.3),
+    ]
+    s, t = 0.3, 1.1
+    xs = np.array([[0.0], [1.2]])
+    worst = 0.0
+    for bundle in (ou_const_bundle, ou_periodic_bundle):
+        engine = MonteCarloEngine(
+            bundle.spec, cfg=sde.SimConfig(dt=1e-3, seed=0), n_inner=8192
+        )
+        for f in battery:
+            for grad in (False, True):
+                apply = engine.grad_G_at if grad else engine.apply_G_at
+                mc, var = apply(s, t, f, xs)
+                exact = ou_apply_G(bundle.model, t, s, f, xs, grad=grad)
+                z = np.abs(mc - exact) / np.sqrt(var)
+                worst = max(worst, float(np.max(z)))
+    assert worst <= 3.0, f"worst z-score {worst:.2f}"
+
+
 # ----------------------------------------------------------------------
 # limit problem
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The package root and the README's library example."""
+"""The package root, the README's library example, and unused imports."""
 
+import ast
 import pathlib
 import re
 
@@ -26,3 +27,40 @@ def test_readme_library_example_runs_as_written(capsys):
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def unused_imports(path):
+    """'file:line name' of each name the module imports at its top level
+    that no expression reads and ``__all__`` does not list.  Imports on a
+    line marked ``# noqa: F401`` are exempt."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = alias.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(
+        f"{path.name}:{line} {name}"
+        for name, line in imported.items()
+        if name not in used
+    )
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports its submodules to re-export them
+    src = pathlib.Path(kolmolab.__file__).resolve().parent
+    paths = sorted(p for p in src.glob("*.py") if p.name != "__init__.py")
+    assert [u for p in paths for u in unused_imports(p)] == []
