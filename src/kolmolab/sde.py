@@ -21,10 +21,10 @@ The kernel of the evolution operator G(t, s) is realized by the
 MIRRORED-clock flow: its characteristics sweep the coefficients from t back
 down to s, so the Monte Carlo engine (:mod:`kolmolab.engines`) evaluates
 G(t, s) on paths of ``reflect_time(spec, s + t)`` (see
-:mod:`kolmolab.model`).  For autonomous
-coefficients the mirrored flow is the plain flow; for time-dependent ones
-the distinction is exactly what makes the evaluated operator satisfy the
-invariance identity against the evolution system of measures.
+:mod:`kolmolab.model`).  For autonomous coefficients the mirrored flow is
+the plain flow; for time-dependent ones the distinction is exactly what
+makes the evaluated operator satisfy the invariance identity against the
+evolution system of measures.
 
 Randomness: paths are partitioned into sub-blocks of ``BLOCK`` paths, sub-block
 b drawing from its own counter-based Philox stream keyed (seed, b), as in
