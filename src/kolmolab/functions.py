@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import FunctionMeta, TestFunction
+from .model import FunctionMeta, RidgeSum, RidgeTerm, TestFunction
 
 __all__ = [
     "constant",
@@ -52,25 +52,41 @@ def constant(c, dim=1):
     )
 
 
-def affine(v, c=0.0, dim=None):
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    dim = v.shape[0] if dim is None else dim
+def _ridge(w, b, phi, dphi, d2phi, dim, meta):
+    """The ridge phi(<w, x> + b), with gradient and Hessian from phi' and
+    phi'' and its one-term :class:`RidgeSum` declaration."""
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    dim = w.shape[0] if dim is None else dim
+    ww = w[:, None] * w[None, :]
 
     def value(x):
-        return x @ v + c
+        return phi(x @ w + b)
 
     def gradient(x):
-        return np.broadcast_to(v, x.shape).copy()
+        return dphi(x @ w + b)[:, None] * w
 
     def hessian(x):
-        return np.zeros((x.shape[0], dim, dim))
+        return d2phi(x @ w + b)[:, None, None] * ww
 
     return TestFunction(
         dim=dim,
         value=value,
         gradient=gradient,
         hessian=hessian,
-        meta=FunctionMeta(bounded=False, name="affine"),
+        meta=meta,
+        ridges=RidgeSum(0.0, (RidgeTerm(1.0, w, float(b), phi, dphi),)),
+    )
+
+
+def affine(v, c=0.0, dim=None):
+    return _ridge(
+        v,
+        c,
+        lambda u: u,
+        np.ones_like,
+        np.zeros_like,
+        dim,
+        FunctionMeta(bounded=False, name="affine"),
     )
 
 
@@ -104,54 +120,25 @@ def quadratic(S, u=None, c=0.0, dim=None):
     )
 
 
+def _tanh_d1(u):
+    return 1.0 - np.tanh(u) ** 2
+
+
+def _tanh_d2(u):
+    T = np.tanh(u)
+    return -2.0 * T * (1.0 - T**2)
+
+
 def tanh_ridge(w, b=0.0, dim=None):
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    dim = w.shape[0] if dim is None else dim
     wn = float(np.linalg.norm(w))
-
-    def value(x):
-        return np.tanh(x @ w + b)
-
-    def gradient(x):
-        T = np.tanh(x @ w + b)
-        return (1.0 - T**2)[:, None] * w
-
-    def hessian(x):
-        T = np.tanh(x @ w + b)
-        coeff = -2.0 * T * (1.0 - T**2)
-        return coeff[:, None, None] * (w[:, None] * w[None, :])
-
-    return TestFunction(
-        dim=dim,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        meta=FunctionMeta(bounded=True, name=f"tanh({wn:g},{b:g})"),
-    )
+    meta = FunctionMeta(bounded=True, name=f"tanh({wn:g},{b:g})")
+    return _ridge(w, b, np.tanh, _tanh_d1, _tanh_d2, dim, meta)
 
 
 def sin_ridge(w, b=0.0, dim=None):
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    dim = w.shape[0] if dim is None else dim
-
-    def value(x):
-        return np.sin(x @ w + b)
-
-    def gradient(x):
-        return np.cos(x @ w + b)[:, None] * w
-
-    def hessian(x):
-        return -np.sin(x @ w + b)[:, None, None] * (w[:, None] * w[None, :])
-
-    return TestFunction(
-        dim=dim,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        meta=FunctionMeta(
-            bounded=True, name=f"sin({float(np.linalg.norm(w)):g},{b:g})"
-        ),
-    )
+    wn = float(np.linalg.norm(w))
+    meta = FunctionMeta(bounded=True, name=f"sin({wn:g},{b:g})")
+    return _ridge(w, b, np.sin, np.cos, lambda u: -np.sin(u), dim, meta)
 
 
 def gaussian_bump(center=0.0, width=1.0, dim=None):
@@ -327,6 +314,16 @@ def combine(coeffs, fns, const=0.0):
             out = out + a * f.hessian(x)
         return out
 
+    ridges = None
+    if all(f.ridges is not None for f in fns):
+        ridges = RidgeSum(
+            const + sum(a * f.ridges.const for a, f in zip(coeffs, fns)),
+            tuple(
+                term._replace(a=a * term.a)
+                for a, f in zip(coeffs, fns)
+                for term in f.ridges.terms
+            ),
+        )
     compact = all(f.meta.compact_support for f in fns)
     return TestFunction(
         dim=dim,
@@ -345,6 +342,7 @@ def combine(coeffs, fns, const=0.0):
             else 0.0,
             name="combo",
         ),
+        ridges=ridges,
     )
 
 

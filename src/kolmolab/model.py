@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,6 +46,8 @@ from .errors import (
 
 __all__ = [
     "FunctionMeta",
+    "RidgeTerm",
+    "RidgeSum",
     "TestFunction",
     "ProblemSpec",
     "reflect_time",
@@ -94,6 +96,24 @@ class FunctionMeta:
     name: str = ""
 
 
+class RidgeTerm(NamedTuple):
+    """One term a * phi(<w, x> + b) of a sum of ridges; ``phi`` and ``dphi``
+    (its derivative) map arrays elementwise."""
+
+    a: float
+    w: np.ndarray
+    b: float
+    phi: Callable[[np.ndarray], np.ndarray]
+    dphi: Callable[[np.ndarray], np.ndarray]
+
+
+class RidgeSum(NamedTuple):
+    """f(x) = const + sum of the terms' a * phi(<w, x> + b)."""
+
+    const: float
+    terms: tuple
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """A C^1 (optionally C^2) function with vectorized evaluators.
@@ -101,6 +121,10 @@ class TestFunction:
     ``value``    : (n, d) -> (n,)
     ``gradient`` : (n, d) -> (n, d)
     ``hessian``  : (n, d) -> (n, d, d), or None for merely-C^1 functions.
+    ``ridges``   : the same function as a :class:`RidgeSum`, when it is one;
+                   quadratures may then integrate each term in one dimension.
+                   It takes no part in eq or hash, since functions are memo
+                   keys and it holds arrays.
     """
 
     dim: int
@@ -108,6 +132,7 @@ class TestFunction:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     meta: FunctionMeta = field(default_factory=FunctionMeta)
+    ridges: Optional[RidgeSum] = field(default=None, compare=False, repr=False)
 
     def __call__(self, x):
         xb, single = as_batch(x, self.dim)

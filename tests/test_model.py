@@ -1,6 +1,7 @@
 """Operator coefficients, hypothesis audits, and Lyapunov certificates."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -356,6 +357,86 @@ def test_check_gradients_on_library():
     xs2 = rng.uniform(-3.0, 3.0, size=(50, 2))
     for f in fns2:
         assert check_gradients(f, xs2) <= 1e-5
+
+
+def _closure_tanh_ridge(w, b):
+    # the hand-written evaluators that functions.tanh_ridge had before it
+    # was built by the shared ridge helper
+    def value(x):
+        return np.tanh(x @ w + b)
+
+    def gradient(x):
+        T = np.tanh(x @ w + b)
+        return (1.0 - T**2)[:, None] * w
+
+    def hessian(x):
+        T = np.tanh(x @ w + b)
+        coeff = -2.0 * T * (1.0 - T**2)
+        return coeff[:, None, None] * (w[:, None] * w[None, :])
+
+    return value, gradient, hessian
+
+
+def _closure_sin_ridge(w, b):
+    def value(x):
+        return np.sin(x @ w + b)
+
+    def gradient(x):
+        return np.cos(x @ w + b)[:, None] * w
+
+    def hessian(x):
+        return -np.sin(x @ w + b)[:, None, None] * (w[:, None] * w[None, :])
+
+    return value, gradient, hessian
+
+
+def _closure_affine(v, c):
+    def value(x):
+        return x @ v + c
+
+    def gradient(x):
+        return np.broadcast_to(v, x.shape).copy()
+
+    def hessian(x):
+        return np.zeros((x.shape[0], v.shape[0], v.shape[0]))
+
+    return value, gradient, hessian
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ridge_helper_matches_the_closures_it_replaced(dim):
+    rng = np.random.default_rng(11)
+    xs = rng.normal(scale=2.0, size=(64, dim))
+    w = rng.normal(size=dim)
+    cases = [
+        (functions.tanh_ridge(w, 0.4), _closure_tanh_ridge(w, 0.4)),
+        (functions.sin_ridge(w, -0.7), _closure_sin_ridge(w, -0.7)),
+        (functions.affine(w, 1.5), _closure_affine(w, 1.5)),
+    ]
+    for f, closures in cases:
+        for built, old in zip((f.value, f.gradient, f.hessian), closures):
+            assert np.array_equal(built(xs), old(xs))
+
+
+def _every_battery_member():
+    for dim in (1, 2, 3):
+        yield from functions.bounded_test_family(dim)
+        yield from functions.lsi_battery(dim)
+        yield from functions.hyper_battery(dim)
+        yield from functions.compact_flat_battery(dim)
+
+
+def test_battery_members_are_memo_keys():
+    # functions key the run memo, so each must hash, and the array-holding
+    # ridge declaration must take no part in eq or hash
+    assert not next(f for f in fields(functions.TestFunction) if f.name == "ridges").compare
+    for f in _every_battery_member():
+        twin = replace(f)
+        assert twin == f and hash(twin) == hash(f)
+        bare = replace(f, ridges=None)
+        assert bare == f and hash(bare) == hash(f)
+    ridged = [f for f in functions.hyper_battery(2) if f.ridges is not None]
+    assert len(ridged) == 20
 
 
 def test_check_gradients_flags_wrong_gradient():

@@ -10,18 +10,21 @@ the quadrature -- before anything else in the package leans on them.
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.special import roots_hermite
 
 from conftest import mc_G
-from kolmolab import functions, sde
+from kolmolab import catalog, functions, runner, sde
 from kolmolab.errors import DomainError, NoEvolutionMeasureError
 from kolmolab.ou import (
     _MIN_WEIGHT,
     GaussianMeasure,
     OUModel,
+    _mehler_moments,
     estimate_omega0,
     evolution_measure,
     forward_transition,
@@ -178,7 +181,6 @@ def test_evolution_measure_constant_rate(ou_const_bundle):
 
 
 def test_evolution_measure_with_load():
-    from kolmolab import catalog
 
     mu = catalog.get("ou_const", load=1.0)
     measure = evolution_measure(mu.model, 0.9)
@@ -269,7 +271,6 @@ def test_pushforward_identity_quadratics(ou_periodic_bundle):
 
 
 def test_pushforward_identity_with_load():
-    from kolmolab import catalog
 
     bundle = catalog.get("ou_const", load=1.0)
     model = bundle.model
@@ -317,7 +318,6 @@ def test_apply_G_batch_matches_single(ou_periodic_bundle):
 
 
 def test_mehler_vs_monte_carlo(ou_const_bundle, ou_periodic_bundle):
-    from kolmolab import catalog
     from kolmolab.model import reflect_time
 
     loaded = catalog.get("ou_const", load=1.0)
@@ -527,23 +527,125 @@ def test_sqrtm_psd_roundtrip(rng):
     assert np.allclose(S @ S, A, atol=1e-10)
 
 
+def tensor_rule_G(model, t, s, f, xs, grad=False, order=64):
+    """G(t, s)f at xs by the tensor Gauss-Hermite rule in one unchunked pass."""
+    M, m, C = _mehler_moments(model, t, s)
+    z, w = gauss_hermite_rule(model.dim, order)
+    d = model.dim
+    pts = (xs @ M.T + m)[:, None, :] + math.sqrt(2.0) * (z @ sqrtm_psd(C).T)[None]
+    flat = pts.reshape(-1, d)
+    if grad:
+        return np.einsum("nkd,k->nd", f.gradient(flat).reshape(len(xs), -1, d), w) @ M
+    return f.value(flat).reshape(len(xs), -1) @ w
+
+
+def ridge_rule_G(model, t, s, f, xs, z, w, grad=False):
+    """G(t, s)f at xs for a declared sum of ridges: each term integrated by
+    the one-dimensional rule (z, w) on E phi(N(0, 1)), summed in node order."""
+    M, m, C = _mehler_moments(model, t, s)
+    out = np.zeros(xs.shape) if grad else np.full(len(xs), f.ridges.const)
+    for term in f.ridges.terms:
+        direction = M.T @ term.w
+        u = xs @ direction + (m @ term.w + term.b)
+        nodes = u[:, None] + math.sqrt(2.0 * (term.w @ C @ term.w)) * z[None, :]
+        vals = (term.dphi if grad else term.phi)(nodes)
+        mean = np.zeros(len(xs))
+        for k in range(len(w)):
+            mean += w[k] * vals[:, k]
+        out += term.a * (mean[:, None] * direction if grad else mean)
+    return out
+
+
+def ridge_rule_G_at_default_order(model, t, s, f, xs, grad=False):
+    z, w = gauss_hermite_rule(1, 256)
+    return ridge_rule_G(model, t, s, f, xs, z[:, 0], w, grad)
+
+
 @pytest.mark.parametrize("n", [1, 2, 33, 40, 81, 100])
 def test_apply_G_chunking_matches_single_chunk(rng, n):
-    # d = 2 at order 64 (1600 nodes) puts 40 points in a chunk, so 81 and
-    # 100 points make several (81 would leave one point over); each point
-    # must come out exactly as from one unchunked pass
-    from kolmolab import catalog
-    from kolmolab.ou import _mehler_moments
-
+    # d = 2 at order 64 (1600 nodes) puts 40 points in a chunk of the tensor
+    # rule, so 81 and 100 points make several (81 would leave one point
+    # over); each point must come out exactly as from one unchunked pass.
+    # The bump takes the tensor rule and the ridge the one-dimensional rule
+    # of order 256, each checked against a one-pass reference of its rule.
     model = catalog.get("ou_periodic", dim=2).model
-    f = functions.tanh_ridge(np.array([0.6, -0.8]), 0.2)
+    cases = [
+        (functions.gaussian_bump(np.array([0.3, -0.5]), 1.2), tensor_rule_G),
+        (functions.tanh_ridge(np.array([0.6, -0.8]), 0.2), ridge_rule_G_at_default_order),
+    ]
     t, s = 1.3, 0.2
     xs = rng.normal(size=(n, 2))
-    M, m, C = _mehler_moments(model, t, s)
-    z, w = gauss_hermite_rule(2, 64)
-    pts = (xs @ M.T + m)[:, None, :] + math.sqrt(2.0) * (z @ sqrtm_psd(C).T)[None]
-    flat = pts.reshape(-1, 2)
-    ref_val = f.value(flat).reshape(n, -1) @ w
-    ref_grad = np.einsum("nkd,k->nd", f.gradient(flat).reshape(n, -1, 2), w) @ M
-    assert np.array_equal(ou_apply_G(model, t, s, f, xs), ref_val)
-    assert np.array_equal(ou_apply_G(model, t, s, f, xs, grad=True), ref_grad)
+    for f, reference in cases:
+        for grad in (False, True):
+            ref = reference(model, t, s, f, xs, grad=grad)
+            assert np.array_equal(ou_apply_G(model, t, s, f, xs, grad=grad), ref)
+
+
+def test_ridge_rule_values_do_not_depend_on_the_batch(rng):
+    model = catalog.get("ou_periodic", dim=2).model
+    f = functions.hyper_battery(2, 1)[0]
+    xs = rng.normal(size=(300, 2))
+    for grad in (False, True):
+        whole = ou_apply_G(model, 1.3, 0.2, f, xs, grad=grad)
+        parts = [ou_apply_G(model, 1.3, 0.2, f, xs[i : i + 7], grad=grad)
+                 for i in range(0, 300, 7)]
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert np.array_equal(ou_apply_G(model, 1.3, 0.2, f, xs[5], grad=grad), whole[5])
+
+
+def _ridge_cases(dim):
+    """The ridges that experiments hand to ou_apply_G, plus the builders."""
+    ctx = SimpleNamespace(dim=dim, analytic=True)
+    fns = [
+        functions.tanh_ridge(np.linspace(0.5, -0.8, dim), 0.2),
+        functions.sin_ridge(np.linspace(1.5, 0.3, dim), -0.4),
+        functions.affine(np.linspace(-0.7, 1.1, dim), 0.3),
+        *functions.hyper_battery(dim, 20),
+        *(f for f in runner._decay_family(ctx) if f.ridges is not None),
+    ]
+    assert len(fns) == 26
+    return fns
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        make_noncommuting_model(),
+        catalog.get("ou_periodic", dim=2).model,
+        catalog.get("ou_periodic", dim=3).model,
+    ],
+    ids=["triangular-d2", "ou_periodic-d2", "ou_periodic-d3"],
+)
+def test_ridge_rule_matches_a_300_node_reference(model):
+    # a ridge sees Z only through <w, Z>, so a one-dimensional rule is exact
+    # up to its order; roots_hermite(300) is an independent rule of more
+    # nodes than the one under test
+    z, w = roots_hermite(300)
+    w = w / math.sqrt(math.pi)
+    xs = np.random.default_rng(5).normal(scale=1.5, size=(40, model.dim))
+    worst = 0.0
+    for f in _ridge_cases(model.dim):
+        for t, s in ((1.3, 0.2), (0.55, 0.5), (4.0, 0.0)):
+            for grad in (False, True):
+                got = ou_apply_G(model, t, s, f, xs, grad=grad)
+                ref = ridge_rule_G(model, t, s, f, xs, z, w, grad=grad)
+                worst = max(worst, float(np.max(np.abs(got - ref))))
+    assert worst <= 1e-13
+
+
+def test_tensor_rule_serves_d1_ridges_and_non_ridge_combinations(rng):
+    # in d = 1 the tensor rule is already one-dimensional; a combination
+    # with a non-ridge member (a Gaussian bump) declares no ridges
+    one_d = catalog.get("ou_periodic").model
+    two_d = catalog.get("ou_periodic", dim=2).model
+    cases = [
+        (one_d, functions.tanh_ridge(np.array([0.7]), 0.2)),
+        (one_d, functions.hyper_battery(1, 1)[0]),
+        (two_d, functions.lsi_battery(2, 1)[0]),
+    ]
+    assert cases[2][1].ridges is None
+    for model, f in cases:
+        xs = rng.normal(size=(30, model.dim))
+        for grad in (False, True):
+            ref = tensor_rule_G(model, 1.3, 0.2, f, xs, grad=grad)
+            assert np.array_equal(ou_apply_G(model, 1.3, 0.2, f, xs, grad=grad), ref)
