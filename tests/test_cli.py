@@ -5,14 +5,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kolmolab
 from kolmolab import cli
 from kolmolab.ineq import CSV_COLUMNS
+from kolmolab.scenario import _EXPERIMENT_KEYS, EXPERIMENT_KINDS
 
 TINY_OU = """\
 scenario cli_ou
@@ -259,3 +263,95 @@ def test_out_of_domain_values_are_configuration_errors(kind, assignment, capsys)
     assert cli.main([kind, "ou_const", "--set", assignment]) == 2
     assert time.monotonic() - start < 10.0
     assert "configuration error" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# end-to-end fuzzing: generated tiny scenarios, valid or not, must end in a
+# verdict or a configuration error, never a traceback or a hang
+# ----------------------------------------------------------------------
+
+# In-domain values per key, small enough that a valid run stays tiny.
+_FUZZ_VALUES = {
+    "t": ("1.0", "1.5"),
+    "s": ("0.0", "0.5"),
+    "times": ("[1.0]", "[0.5, 1.5]"),
+    "spans": ("[0.5]", "[0.25, 1.0]"),
+    "gaps": ("[0.25]", "[0.5, 1.0]"),
+    "curve_gaps": ("[0.0, 0.25]",),
+    "gaps_a": ("[0.5, 1.0]", "[1.0, 2.0]"),
+    "gaps_b": ("[0.5, 1.0]", "[1.0, 2.0]"),
+    "p": ("[2.0]", "[1.5, 4.0]"),
+    "p_b": ("2.0",),
+    "q": ("[1.5]", "[2.0]"),
+    "r": ("[0.8]",),
+    "h": ("0.05",),
+    "n": ("1", "3"),
+    "radii": ("[1.0, 2.0]",),
+    "t_inf": ("20.0",),
+    "tol_final": ("1e-3",),
+    "slack": ("0.1",),
+    "paths": ("16", "100"),
+    "cloud": ("256",),
+    "inner": ("8",),
+    "outer": ("16",),
+}
+_BAD_VALUES = ("nan", "inf", "-1", "0", "2.5", "abc", "[]", "[-1]", "[nan]")
+# The faults one generated scenario may carry; None is a valid scenario.
+_FAULTS = (None, None, None, "dt", "paths", "seed", "kind", "key", "value")
+
+
+@st.composite
+def _tiny_scenarios(draw):
+    fault = draw(st.sampled_from(_FAULTS))
+    catalog = draw(st.sampled_from(["ou_const", "cubic_dissipative"]))
+    kind = "general" if catalog == "cubic_dissipative" else draw(st.sampled_from(["ou", "general"]))
+    dt = draw(st.sampled_from(["2e-3", "1e-2"]))
+    paths = draw(st.sampled_from(["16", "200"]))
+    seed = draw(st.integers(0, 2**63))
+    if fault == "dt":
+        dt = draw(st.sampled_from(["0.5", "0", "-1e-3", "nan", "inf"]))
+    elif fault == "paths":
+        paths = draw(st.sampled_from(["0", "-3", "1.5", "abc"]))
+    elif fault == "seed":
+        seed = draw(st.sampled_from([-1, 2**64, "nan"]))
+    elif fault == "kind":
+        kind = "ou" if catalog == "cubic_dissipative" else "bogus"
+    lines = [
+        "scenario fuzz", f"  catalog {catalog}", f"  kind {kind}",
+        "  sim", f"    dt {dt}", f"    paths {paths}", f"    seed {seed}", "  end",
+    ]
+    kinds = draw(st.lists(st.sampled_from(EXPERIMENT_KINDS), min_size=1, max_size=3))
+    for i, exp in enumerate(kinds):
+        lines.append(f"  experiment {exp}")
+        for key in _EXPERIMENT_KEYS[exp]:
+            # the Monte Carlo sizes are always set, so that runs stay tiny
+            if key in _FUZZ_VALUES and (key in ("cloud", "inner", "outer") or draw(st.booleans())):
+                lines.append(f"    {key} {draw(st.sampled_from(_FUZZ_VALUES[key]))}")
+        if i == 0 and fault == "key":
+            lines.append(f"    {draw(st.sampled_from(['bogus', 'export2', 'P']))} 1")
+        if i == 0 and fault == "value" and _EXPERIMENT_KEYS[exp]:
+            key = draw(st.sampled_from([k for k in _EXPERIMENT_KEYS[exp] if k != "export"]))
+            lines.append(f"    {key} {draw(st.sampled_from(_BAD_VALUES))}")
+        lines.append("  end")
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_tiny_scenarios())
+def test_generated_scenarios_end_cleanly(text, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        scn = Path(tmp) / "fuzz.scn"
+        scn.write_text(text)
+        start = time.monotonic()
+        code = cli.main(["run", str(scn), "--out", str(Path(tmp) / "out")])
+        elapsed = time.monotonic() - start
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), text
+    assert "Traceback" not in out + err, text
+    assert elapsed < 10.0, text
