@@ -3,7 +3,7 @@
 The inequality suites only need a tiny surface:
 
 * ``measure(t)``                       -- mu_t (Gaussian or empirical cloud),
-* ``outer_points(mu, order)``          -- (points, quadrature weights or None),
+* ``outer_points(mu)``                 -- (points, quadrature weights or None),
 * ``apply_G_at(s, t, f, xs)``          -- (values, variance of each value),
 * ``grad_G_at(s, t, f, xs)``           -- (gradients, variance per component),
 * ``memo``                             -- a :class:`~kolmolab.memo.Memo`,
@@ -11,10 +11,10 @@ The inequality suites only need a tiny surface:
 * ``spec``                             -- the :class:`~kolmolab.model.ProblemSpec`,
 * its declared constants ``eta0, Lambda, r0``.
 
-Both kinds of measure share one surface too: ``mu.rule(order)`` gives
-(points, weights) -- Gauss-Hermite nodes for a Gaussian, the samples and
-``None`` for a cloud -- and ``mu.expectation(f, order)`` gives
-(value, tolerance).
+Both kinds of measure share one surface too: ``mu.rule()`` gives
+(points, weights) -- Gauss-Hermite nodes of order ``ou.GH_ORDER`` for a
+Gaussian, the samples and ``None`` for a cloud -- and ``mu.expectation(f)``
+gives (value, tolerance).
 
 ``AnalyticOUEngine`` evaluates everything by quadrature against the linear
 model; ``MonteCarloEngine`` propagates clouds with the path simulator, using
@@ -28,7 +28,7 @@ omega fit, measures and kernel moments once per key, the Monte Carlo engine
 its burn-in clouds once per (t, size, seed) -- once per (size, seed) for an
 autonomous spec, whose mu_t does not depend on t -- and the L^p helpers
 below compute G(t, s)f and its gradient at an engine's outer points once per
-(s, t, f, order).
+(s, t, f).
 The helpers debias the inner-mean plug-in (the first-order Jensen
 correction in the inner variance, zero for the analytic engine) and share
 one core, which scales every magnitude by the largest so that the huge
@@ -94,8 +94,8 @@ class AnalyticOUEngine:
     def _evolution_measure(self, t):
         return evolution_measure(self.model, t, self.tol, self.omega_fit)
 
-    def outer_points(self, mu, order=64):
-        return mu.rule(order)
+    def outer_points(self, mu):
+        return mu.rule()
 
     def apply_G_at(self, s, t, f, xs):
         vals = ou_apply_G(self.model, t, s, f, xs, memo=self.memo)
@@ -246,7 +246,7 @@ class MonteCarloEngine:
     def grad_G_at(self, s, t, f, xs):
         return self._replicate_means(s, t, f, xs, grad=True)
 
-    def outer_points(self, mu, order=None):
+    def outer_points(self, mu):
         """The first n_outer cloud points, unweighted; the cloud is i.i.d.,
         so a prefix is unbiased."""
         return mu.samples[: self.n_outer], None
@@ -309,41 +309,37 @@ def _lp_core(a, w, p, var=None):
     return norm, norm / p * se / mp
 
 
-def lp_norm_measure(mu, f, p, order=64):
+def lp_norm_measure(mu, f, p):
     """(||f||_{L^p(mu)}, tolerance)."""
     if p < 1.0:
         raise DomainError("p must be >= 1")
-    pts, w = mu.rule(order)
+    pts, w = mu.rule()
     return _lp_core(np.abs(np.asarray(f.value(pts), dtype=float)), w, p)
 
 
-def _G_at_outer_points(engine, grad, s, t, f, order):
+def _G_at_outer_points(engine, grad, s, t, f):
     """(weights, means, variances) of G(t,s)f -- or of its gradient, when
     ``grad`` -- at the engine's outer points of mu_t.
 
     Callers go through ``engine.memo``, which is exact for both engines:
     the analytic values are deterministic, and the Monte Carlo replicates
     are seeded by (s, t) alone."""
-    xs, w = engine.outer_points(engine.measure(t), order)
+    xs, w = engine.outer_points(engine.measure(t))
     apply = engine.grad_G_at if grad else engine.apply_G_at
     return (w, *apply(s, t, f, xs))
 
 
-def lp_norm_of_G(engine, s, t, f, p, shift=0.0, order=64):
+def lp_norm_of_G(engine, s, t, f, p, shift=0.0):
     """(||G(t,s) f - shift||_{L^p(mu_t)}, tolerance)."""
     if p < 1.0:
         raise DomainError("p must be >= 1")
-    w, means, var_means = engine.memo(
-        "G", _G_at_outer_points, engine, False, s, t, f, order
-    )
+    w, means, var_means = engine.memo("G", _G_at_outer_points, engine, False, s, t, f)
     return _lp_core(np.abs(means - shift), w, p, var_means)
 
 
-def grad_lp_norm_of_G(engine, s, t, f, p, order=64):
+def grad_lp_norm_of_G(engine, s, t, f, p):
     """(|| |grad G(t,s) f| ||_{L^p(mu_t)}, tolerance)."""
-    w, means, var_means = engine.memo(
-        "G", _G_at_outer_points, engine, True, s, t, f, order
-    )
+    w, means, var_means = engine.memo("G", _G_at_outer_points, engine, True, s, t, f)
     # Debias |m_i|^2 by the summed component variances before the root.
     sq = np.einsum("nd,nd->n", means, means) - var_means.sum(axis=1)
     return _lp_core(np.sqrt(np.clip(sq, 0.0, None)), w, p)

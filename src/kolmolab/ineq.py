@@ -42,6 +42,7 @@ from .engines import (
 )
 from .errors import ConstantFunctionError, DomainError
 from .measures import Defect
+from .ou import GH_HALF_ORDER
 
 __all__ = [
     "lsi_deficit",
@@ -80,12 +81,12 @@ def _lsi_terms(fvals, grads, p):
     return entropy, dirichlet
 
 
-def lsi_deficit(mu, f, p, Lambda, r0, order=64):
+def lsi_deficit(mu, f, p, Lambda, r0):
     """Deficit (RHS - LHS) of the logarithmic Sobolev inequality at mu.
 
     Positive deficit means the inequality holds with room; the returned
-    tolerance is a quadrature-refinement gap (a rule with weights, Gaussian
-    mu) or a delta-method standard error (an unweighted cloud)."""
+    tolerance is the gap to the rule of ``GH_HALF_ORDER`` (a Gaussian mu,
+    whose rule has weights) or a delta-method standard error (a cloud)."""
     if p <= 1.0:
         raise DomainError("lsi needs p > 1")
     if r0 >= 0.0:
@@ -99,7 +100,7 @@ def lsi_deficit(mu, f, p, Lambda, r0, order=64):
         entropy, dirichlet = _lsi_terms(fvals, grads, p)
         return [rule_mean(v, w) for v in (np.abs(fvals) ** p, entropy, dirichlet)]
 
-    pts, w = mu.rule(order)
+    pts, w = mu.rule()
     (mass, se_mass), (e_val, se_e), (d_val, se_d) = compute(pts, w)
     if mass <= 0.0:
         # f vanishes mu-a.e.: both sides are zero by the 0 log 0 convention.
@@ -107,7 +108,7 @@ def lsi_deficit(mu, f, p, Lambda, r0, order=64):
     rhs = (1.0 / p) * mass * math.log(mass) + const * d_val
     deficit = rhs - e_val
     if w is not None:
-        (mass2, _), (e2, _), (d2, _) = compute(*mu.rule(max(8, order // 2)))
+        (mass2, _), (e2, _), (d2, _) = compute(*mu.rule(GH_HALF_ORDER))
         rhs2 = (1.0 / p) * mass2 * math.log(mass2) + const * d2
         tol = max(1e-9, 2.0 * abs((rhs2 - e2) - deficit))
     else:
@@ -143,13 +144,13 @@ class _GradNorm:
         return np.linalg.norm(g, axis=-1)
 
 
-def poincare_quotient(mu, f, p=2, order=64):
+def poincare_quotient(mu, f, p=2):
     """||f - m(f)||_{L^p} / || |grad f| ||_{L^p} under mu.
 
     Refuses (mu-essentially) constant functions, whose quotient is 0/0."""
-    mean, _ = mu.expectation(f, order)
-    num, tn = lp_norm_measure(mu, _Shifted(f, mean), p, order)
-    den, td = lp_norm_measure(mu, _GradNorm(f), p, order)
+    mean, _ = mu.expectation(f)
+    num, tn = lp_norm_measure(mu, _Shifted(f, mean), p)
+    den, td = lp_norm_measure(mu, _GradNorm(f), p)
     scale = 1.0 + abs(mean)
     if den <= 1e-10 * scale:
         raise ConstantFunctionError(
@@ -197,7 +198,7 @@ class HyperResult:
     saturated: bool
 
 
-def hyper_check(engine, s, t, f, q, order=64):
+def hyper_check(engine, s, t, f, q):
     """Check ||G(t,s)f||_{L^{p(t)}(mu_t)} <= ||f||_{L^q(mu_s)} + 3 tol."""
     if not f.meta.bounded:
         raise DomainError("hypercontractivity checks use bounded test functions")
@@ -215,8 +216,8 @@ def hyper_check(engine, s, t, f, q, order=64):
             t=t,
             saturated=True,
         )
-    lhs, tl = lp_norm_of_G(engine, s, t, f, exp_.p, order=order)
-    rhs, tr = lp_norm_measure(engine.measure(s), f, q, order=order)
+    lhs, tl = lp_norm_of_G(engine, s, t, f, exp_.p)
+    rhs, tr = lp_norm_measure(engine.measure(s), f, q)
     tol = tl + tr
     return HyperResult(
         passed=bool(lhs <= rhs + 3.0 * tol),
@@ -241,7 +242,7 @@ class HyperCurve:
     monotone: bool
 
 
-def hyper_curve(engine, s, f, q, gaps, order=64):
+def hyper_curve(engine, s, f, q, gaps):
     """beta(t) = ||G(t,s)f||_{L^{p(t)}(mu_t)} along gaps; must not increase."""
     gaps = np.sort(np.asarray(gaps, dtype=float))
     ts, betas, tols = [], [], []
@@ -251,9 +252,9 @@ def hyper_curve(engine, s, f, q, gaps, order=64):
             continue
         t = s + gap
         if gap == 0.0:
-            beta, tol = lp_norm_measure(engine.measure(s), f, exp_.p, order)
+            beta, tol = lp_norm_measure(engine.measure(s), f, exp_.p)
         else:
-            beta, tol = lp_norm_of_G(engine, s, t, f, exp_.p, order=order)
+            beta, tol = lp_norm_of_G(engine, s, t, f, exp_.p)
         ts.append(t)
         betas.append(beta)
         tols.append(tol)
@@ -297,7 +298,7 @@ def _fit_loglinear(gaps, vals):
     )
 
 
-def decay_fit_A(engine, s, family, p, gaps, order=64):
+def decay_fit_A(engine, s, family, p, gaps):
     """Fit the decay rate of sup_f ||G f - m_s(f)||_{L^p} / ||f||_{L^p}."""
     gaps = np.asarray(sorted(gaps), dtype=float)
     if gaps.size < 2:
@@ -305,8 +306,8 @@ def decay_fit_A(engine, s, family, p, gaps, order=64):
     mu_s = engine.measure(s)
     shifts, dens = [], []
     for f in family:
-        m, _ = mu_s.expectation(f, order)
-        d, _ = lp_norm_measure(mu_s, f, p, order)
+        m, _ = mu_s.expectation(f)
+        d, _ = lp_norm_measure(mu_s, f, p)
         if d <= _TINY:
             raise ConstantFunctionError("family member vanishes under mu_s")
         shifts.append(m)
@@ -316,13 +317,13 @@ def decay_fit_A(engine, s, family, p, gaps, order=64):
         t = s + gap
         best = 0.0
         for f, shift, den in zip(family, shifts, dens):
-            v, _ = lp_norm_of_G(engine, s, t, f, p, shift=shift, order=order)
+            v, _ = lp_norm_of_G(engine, s, t, f, p, shift=shift)
             best = max(best, v / den)
         vals.append(best)
     return _fit_loglinear(gaps, vals)
 
 
-def decay_fit_B(engine, s, family, p, gaps, order=64):
+def decay_fit_B(engine, s, family, p, gaps):
     """Fit the decay rate of the gradient side; needs gaps >= 1."""
     gaps = np.asarray(sorted(gaps), dtype=float)
     if gaps.size < 2:
@@ -335,7 +336,7 @@ def decay_fit_B(engine, s, family, p, gaps, order=64):
     mu_s = engine.measure(s)
     dens = []
     for f in family:
-        d, _ = lp_norm_measure(mu_s, _GradNorm(f), p, order)
+        d, _ = lp_norm_measure(mu_s, _GradNorm(f), p)
         if d <= _TINY:
             raise ConstantFunctionError("family member is constant under mu_s")
         dens.append(d)
@@ -344,7 +345,7 @@ def decay_fit_B(engine, s, family, p, gaps, order=64):
         t = s + gap
         best = 0.0
         for f, den in zip(family, dens):
-            v, _ = grad_lp_norm_of_G(engine, s, t, f, p, order=order)
+            v, _ = grad_lp_norm_of_G(engine, s, t, f, p)
             best = max(best, v / den)
         vals.append(best)
     return _fit_loglinear(gaps, vals)

@@ -34,7 +34,7 @@ from .errors import DomainError, HorizonError
 from .functions import bounded_test_family
 from .io import atomic_write_text
 from .model import apply_generator, reflect_time
-from .ou import GaussianMeasure, ou_apply_G
+from .ou import GH_HALF_ORDER, GaussianMeasure, ou_apply_G
 
 __all__ = [
     "EmpiricalMeasure",
@@ -67,13 +67,13 @@ class EmpiricalMeasure:
     def n(self):
         return self.samples.shape[0]
 
-    def rule(self, order=None):
+    def rule(self):
         """(points, weights) of the cloud: its samples, with no quadrature
-        weights (every point counts equally); ``order`` is unused."""
+        weights (every point counts equally)."""
         return self.samples, None
 
-    def expectation(self, f, order=None):
-        """(mean, stderr) of f over the cloud; ``order`` is unused."""
+    def expectation(self, f):
+        """(mean, stderr) of f over the cloud."""
         vals = np.asarray(f.value(self.samples), dtype=float)
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(self.n)) if self.n > 1 else math.inf
@@ -90,20 +90,20 @@ class Defect:
     rhs: float = math.nan
 
 
-def _burn_in_span(spec, tol, x0_norm=0.0):
-    """The mixing span log(D / tol) / |r0| with D = 10 (1 + |x0|)."""
+def _burn_in_span(spec, tol):
+    """The mixing span log(10 / tol) / |r0| from the start x0 = 0."""
     if spec.r0 >= 0.0:
         raise DomainError("burn-in needs a negative contraction rate r0")
-    return math.log(10.0 * (1.0 + x0_norm) / tol) / abs(spec.r0)
+    return math.log(10.0 / tol) / abs(spec.r0)
 
 
-def burn_in_start(spec, t, tol=1e-3, x0_norm=0.0):
-    """Start time s0 = t - log(D / tol) / |r0| with D = 10 (1 + |x0|).
+def burn_in_start(spec, t, tol=1e-3):
+    """Start time s0 = t - log(10 / tol) / |r0| of a burn-in from x0 = 0.
 
     The contraction rate r0 turns the distance-to-equilibrium target ``tol``
     into a mixing span; raises HorizonError when s0 does not fit into the
     time interval."""
-    s0 = t - _burn_in_span(spec, tol, x0_norm)
+    s0 = t - _burn_in_span(spec, tol)
     if s0 <= spec.interval_start:
         raise HorizonError(
             f"burn-in start {s0:.4g} falls outside the interval "
@@ -144,13 +144,14 @@ def sample_mu(spec, t, tol=1e-3, cfg=None):
     )
 
 
-def invariance_defect(engine, s, t, fns, mu_s=None, mu_t=None, order=64):
+def invariance_defect(engine, s, t, fns, mu_s=None, mu_t=None):
     """| int G(t,s) f d mu_t - int f d mu_s | with its tolerance, one
     :class:`Defect` per function in ``fns``.
 
     On the analytic engine both sides are quadratures (outer Gauss-Hermite
     over mu_t of the kernel-evaluated G(t,s)f, and a plain quadrature of f
-    under mu_s), with missing measures from ``engine.measure`` and the
+    under mu_s; the left side's tolerance is its gap to the kernel rule of
+    ``ou.GH_HALF_ORDER``), with missing measures from ``engine.measure`` and the
     kernel moments from ``engine.memo`` (see :func:`kolmolab.ou.ou_apply_G`).
     On the Monte Carlo engine the left side pushes a mu_t cloud from s to t
     (``engine.push``: one path per sample, shared by all functions) and the
@@ -164,13 +165,13 @@ def invariance_defect(engine, s, t, fns, mu_s=None, mu_t=None, order=64):
         model = engine.model
         mu_t = mu_t or engine.measure(t)
         mu_s = mu_s or engine.measure(s)
-        pts, w = mu_t.rule(order)
+        pts, w = mu_t.rule()
         defects = []
         for f in fns:
-            lhs = float(w @ ou_apply_G(model, t, s, f, pts, order, engine.memo))
-            rhs, rhs_err = mu_s.expectation(f, order)
+            lhs = float(w @ ou_apply_G(model, t, s, f, pts, memo=engine.memo))
+            rhs, rhs_err = mu_s.expectation(f)
             lhs_check = float(
-                w @ ou_apply_G(model, t, s, f, pts, max(8, order // 2), engine.memo)
+                w @ ou_apply_G(model, t, s, f, pts, GH_HALF_ORDER, engine.memo)
             )
             tol = max(1e-9, abs(lhs - lhs_check)) + rhs_err
             defects.append(
@@ -211,7 +212,7 @@ def tightness_profile(mu, radii):
     return np.array([float(np.mean(r > R)) for R in radii])
 
 
-def flow_derivative_defect(engine, f, r, h=1e-2, order=64):
+def flow_derivative_defect(engine, f, r, h=1e-2):
     """Defect of d/dr m_r(f) = -m_r(A(r) f) via a central difference.
 
     Only admits functions that are constant outside a compact set (the
@@ -233,9 +234,9 @@ def flow_derivative_defect(engine, f, r, h=1e-2, order=64):
         mu_p = engine.measure(r + h)
         mu_m = engine.measure(r - h)
         mu_0 = engine.measure(r)
-        m_p, e_p = mu_p.expectation(f, order)
-        m_m, e_m = mu_m.expectation(f, order)
-        gen = mu_0.expectation(_GeneratorValues(engine.spec, r, f), order)[0]
+        m_p, e_p = mu_p.expectation(f)
+        m_m, e_m = mu_m.expectation(f)
+        gen = mu_0.expectation(_GeneratorValues(engine.spec, r, f))[0]
         diff = (m_p - m_m) / (2.0 * h)
         tol = (e_p + e_m) / (2.0 * h) + 1e-9
         return Defect(value=abs(diff + gen), tolerance=tol, lhs=diff, rhs=-gen)
@@ -282,7 +283,7 @@ class GapReport:
     cov_gap: Optional[float] = None
 
 
-def weak_star_gap(mu1, mu2, family=None, order=64):
+def weak_star_gap(mu1, mu2, family=None):
     """max_f |m(f; mu1) - m(f; mu2)| over a fixed bounded C^2 family.
 
     For two Gaussian arguments the exact parameter gaps |mean1 - mean2| and
@@ -293,8 +294,8 @@ def weak_star_gap(mu1, mu2, family=None, order=64):
     gaps = []
     tols = []
     for f in family:
-        m1, e1 = mu1.expectation(f, order)
-        m2, e2 = mu2.expectation(f, order)
+        m1, e1 = mu1.expectation(f)
+        m2, e2 = mu2.expectation(f)
         gaps.append(abs(m1 - m2))
         tols.append(math.hypot(e1, e2))
     mean_gap = cov_gap = None

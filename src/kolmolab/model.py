@@ -298,11 +298,11 @@ class AuditGrid:
 _POINTS_PER_AXIS = {1: 41, 2: 15, 3: 9}
 
 
-def default_audit_grid(spec, box_radius=10.0, n_times=32, horizon=50.0):
-    """Log-spaced times in (interval_start, interval_start + horizon] and a
+def default_audit_grid(spec, box_radius=10.0):
+    """32 log-spaced times in (interval_start, interval_start + 50] and a
     uniform lattice on [-box_radius, box_radius]^d."""
     t0 = spec.interval_start if np.isfinite(spec.interval_start) else 0.0
-    ts = t0 + np.geomspace(0.1, horizon, n_times)
+    ts = t0 + np.geomspace(0.1, 50.0, 32)
     per_axis = _POINTS_PER_AXIS.get(spec.dim, 7)
     axis = np.linspace(-box_radius, box_radius, per_axis)
     grids = np.meshgrid(*([axis] * spec.dim), indexing="ij")
@@ -348,10 +348,9 @@ class AuditReport:
     tol: float = MARGIN_TOL
 
 
-def audit_hypotheses(spec, grid=None):
-    """Measure ellipticity, symmetry and dissipativity slack on a grid."""
-    if grid is None:
-        grid = default_audit_grid(spec)
+def audit_hypotheses(spec):
+    """Measure ellipticity, symmetry and dissipativity slack on the audit grid."""
+    grid = default_audit_grid(spec)
     sym_defect = 0.0
     sym_witness = None
     ell_low = math.inf
@@ -406,18 +405,18 @@ class MonotonicityReport:
     tol: float = MARGIN_TOL
 
 
-def check_monotonicity(spec, ts=None, pairs=None, n_pairs=256, seed=7):
+def check_monotonicity(spec, pairs=None):
     """Check <b(t,x) - b(t,y), x - y> <= r0 |x - y|^2 on sampled pairs.
 
-    ``pairs`` is an (m, 2, d) array; by default m pairs are drawn uniformly
-    from the audit box with a fixed seed.  Coincident pairs are skipped with
-    a warning.  Reports the maximal excess over r0 of the quotient.
+    ``pairs`` is an (m, 2, d) array; by default 256 pairs are drawn from the
+    audit box with a fixed seed.  Coincident pairs are skipped with a
+    warning.  Reports the maximal excess over r0 of the quotient at every
+    fourth time of the audit grid.
     """
-    if ts is None:
-        ts = default_audit_grid(spec).ts[::4]
+    ts = default_audit_grid(spec).ts[::4]
     if pairs is None:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        pairs = rng.uniform(-10.0, 10.0, size=(n_pairs, 2, spec.dim))
+        rng = np.random.Generator(np.random.Philox(key=7))
+        pairs = rng.uniform(-10.0, 10.0, size=(256, 2, spec.dim))
     pairs = np.asarray(pairs, dtype=float)
     diff = pairs[:, 0, :] - pairs[:, 1, :]
     sq = np.einsum("ni,ni->n", diff, diff)
@@ -517,18 +516,17 @@ def _fit_certificate(spec, phi, grid):
     )
 
 
-def build_lyapunov_gaussian(spec, ybar=None, K2=None, grid=None):
+def build_lyapunov_gaussian(spec, ybar=None, K2=None):
     """Certificate phi = exp(delta |x - ybar|^2) with delta = |r0| / (4 Lambda).
 
-    Precondition (checked on the grid): sup_t |b(t, ybar)| <= K2.  When K2 is
+    Precondition (checked on the audit grid): sup_t |b(t, ybar)| <= K2.  When K2 is
     None it is measured from the grid and reported on the certificate's meta.
     """
     if spec.r0 >= 0.0:
         raise CertificateUnavailableError(
             "certificates require a negative dissipativity constant r0"
         )
-    if grid is None:
-        grid = default_audit_grid(spec)
+    grid = default_audit_grid(spec)
     y = np.zeros(spec.dim) if ybar is None else np.asarray(ybar, dtype=float)
     norms = np.array(
         [np.linalg.norm(spec.drift(t, y[None, :])[0]) for t in grid.ts]

@@ -43,10 +43,11 @@ Everything is driven by one two-parameter family ``U``:
   test pins the general identity between ``transition_U`` and the kernel
   matrix instead.
 
-Gaussian expectations use tensorized Gauss-Hermite quadrature (default order
-64 per dimension, desk scale d <= 3), pruned to the nodes of weight at least
-1e-20: the dropped nodes hold at most 3e-19 of the unit mass for d <= 2 and
-2e-17 for d = 3, and at d = 2, order 64, 1600 of the 4096 nodes remain.
+Gaussian expectations use tensorized Gauss-Hermite quadrature of order
+``GH_ORDER`` = 64 per axis (desk scale d <= 3), and their tolerances the gap
+to order ``GH_HALF_ORDER`` = 32.  Rules are pruned to the nodes of weight at
+least 1e-20: the dropped nodes hold at most 3e-19 of the unit mass for d <= 2
+and 2e-17 for d = 3, and at d = 2, order 64, 1600 of the 4096 nodes remain.
 A test function that declares itself a sum of ridges c + sum a phi(<w, x> + b)
 (``TestFunction.ridges``) sees the kernel's Gaussian only through the scalars
 <w, Z>, so in d >= 2 ``ou_apply_G`` integrates each ridge by a
@@ -86,6 +87,11 @@ __all__ = [
 ]
 
 _ODE_METHOD = "DOP853"
+
+# Every Gaussian integral of a run uses the Gauss-Hermite rule of GH_ORDER
+# per axis; a quadrature's tolerance is its gap to the rule of GH_HALF_ORDER.
+GH_ORDER = 64
+GH_HALF_ORDER = GH_ORDER // 2
 
 
 def sqrtm_psd(M):
@@ -200,18 +206,19 @@ class GaussianMeasure:
     def dim(self):
         return self.mean.shape[0]
 
-    def rule(self, order=64):
+    def rule(self, order=GH_ORDER):
         """(points, weights) of the Gauss-Hermite rule, ``order`` per axis."""
         z, w = gauss_hermite_rule(self.dim, order)
         pts = self.mean + math.sqrt(2.0) * (z @ self._sqrt_cov.T)
         return pts, w
 
-    def expectation(self, f, order=64):
+    def expectation(self, f, order=GH_ORDER):
         """(E[f], tolerance) for a function with the batch ``value`` interface.
 
-        Compactly flat f are integrated by Simpson on their support box,
-        any other f by Gauss-Hermite; the tolerance is the gap to the same
-        rule at about half the resolution."""
+        Compactly flat f are integrated by Simpson on their support box, the
+        tolerance being the gap to the grid of about half the nodes per axis;
+        any other f by Gauss-Hermite of ``order`` per axis, the tolerance
+        being the gap to the rule of GH_HALF_ORDER."""
         if _is_compactly_flat(f, self.dim):
             R = float(f.meta.support_radius)
             c = float(f.meta.outside_value)
@@ -224,7 +231,7 @@ class GaussianMeasure:
             half = c + _simpson_gaussian(self, centered, R, n // 2 + 1)
         else:
             full = self._gauss_hermite(f.value, order)
-            half = self._gauss_hermite(f.value, max(8, order // 2))
+            half = self._gauss_hermite(f.value, GH_HALF_ORDER)
         return full, max(1e-12, abs(full - half))
 
     def _gauss_hermite(self, fn, order):
@@ -278,24 +285,20 @@ class OUModel:
     def base_time(self):
         return 0.0 if not np.isfinite(self.interval_start) else self.interval_start + 0.1
 
-    def ellipticity(self, ts=None):
+    def ellipticity(self):
         """(eta0, Lambda) measured from Q(t) = B B^T / 2 over a time grid."""
-        if ts is None:
-            ts = self.base_time() + np.linspace(0.0, 20.0, 64)
         lo, hi = math.inf, -math.inf
-        for t in ts:
+        for t in self.base_time() + np.linspace(0.0, 20.0, 64):
             Bm = self.B_mat(t)
             w = np.linalg.eigvalsh(0.5 * (Bm @ Bm.T))
             lo = min(lo, float(w[0]))
             hi = max(hi, float(w[-1]))
         return lo, hi
 
-    def dissipativity_rate(self, ts=None):
+    def dissipativity_rate(self):
         """sup_t lambda_max(sym A(t)) -- the declared r0 must dominate this."""
-        if ts is None:
-            ts = self.base_time() + np.linspace(0.0, 20.0, 64)
         worst = -math.inf
-        for t in ts:
+        for t in self.base_time() + np.linspace(0.0, 20.0, 64):
             Am = self.A_mat(t)
             w = np.linalg.eigvalsh(0.5 * (Am + Am.T))
             worst = max(worst, float(w[-1]))
@@ -396,19 +399,18 @@ class OmegaEstimate(NamedTuple):
     residual: float
 
 
-def estimate_omega0(model, horizon=12.0, samples=96, n_bases=4, t0=None):
+def estimate_omega0(model, horizon=12.0):
     """Least-squares estimate of the decay exponent of U.
 
-    Samples log ||U(t, t + gap)|| for gaps in [1, horizon] from ``n_bases``
-    base times and fits log M + omega * gap.  Returns the fitted
+    Samples log ||U(t, t + gap)|| at 24 gaps in [1, horizon] from 4 base
+    times and fits log M + omega * gap.  Returns the fitted
     (omega, M >= 1) together with the maximal absolute fit residual; callers
     decide what to do with a nonnegative omega (no decay).
     """
     if horizon <= 1.0:
         raise DomainError("horizon must exceed the minimal fitted gap 1.0")
-    base0 = t0 if t0 is not None else model.base_time()
-    bases = base0 + np.linspace(0.0, 2.0 * math.pi, n_bases)
-    gaps = np.geomspace(1.0, horizon, max(4, samples // n_bases))
+    bases = model.base_time() + np.linspace(0.0, 2.0 * math.pi, 4)
+    gaps = np.geomspace(1.0, horizon, 24)
     d = model.dim
     xs, ys = [], []
     for base in bases:
@@ -436,7 +438,7 @@ def _sup_norms(model, t, span):
     return float(bb), float(gg)
 
 
-def evolution_measure(model, t, tol=1e-8, omega_fit=None, order_hint=None):
+def evolution_measure(model, t, tol=1e-8, omega_fit=None):
     """The time-t member mu_t = N(g_t, Q_t) of the evolution system.
 
     Q_t and g_t are the improper integrals in the module docstring, computed
@@ -580,7 +582,7 @@ def _ridge_apply_G(M, m, C, ridges, xb, order, grad):
     return out
 
 
-def ou_apply_G(model, t, s, f, x, order=64, memo=fresh, grad=False):
+def ou_apply_G(model, t, s, f, x, order=GH_ORDER, memo=fresh, grad=False):
     """(G(t, s) f)(x) through the Gaussian kernel representation; with
     ``grad``, its gradient grad_x (G(t, s) f)(x) = M^T E[grad f(M x + m + Z)],
     M = U(s, t).
@@ -625,12 +627,12 @@ def ou_apply_G(model, t, s, f, x, order=64, memo=fresh, grad=False):
     return out[0] if single else out
 
 
-def solve_lyapunov_limit(A_inf, B_inf, g_inf=None, residual_tol=1e-10):
+def solve_lyapunov_limit(A_inf, B_inf, g_inf=None):
     """Invariant Gaussian of the limit operator with drift A_inf x + g_inf.
 
     Solves A Q + Q A^T = -B B^T by Kronecker vectorization and returns
     N(-A^{-1} g_inf, Q).  Raises when A_inf is not Hurwitz (no limit measure)
-    or the residual exceeds ``residual_tol``.
+    or the residual exceeds 1e-10.
     """
     A = np.atleast_2d(np.asarray(A_inf, dtype=float))
     B = np.atleast_2d(np.asarray(B_inf, dtype=float))
@@ -648,8 +650,8 @@ def solve_lyapunov_limit(A_inf, B_inf, g_inf=None, residual_tol=1e-10):
     Q = q.reshape(d, d)
     Q = 0.5 * (Q + Q.T)
     res = np.linalg.norm(A @ Q + Q @ A.T + BB, 2)
-    if res > residual_tol:
-        raise StiffnessError(f"Lyapunov residual {res:.3e} exceeds {residual_tol:g}")
+    if res > 1e-10:
+        raise StiffnessError(f"Lyapunov residual {res:.3e} exceeds 1e-10")
     g = np.zeros(d) if g_inf is None else np.asarray(g_inf, dtype=float).reshape(d)
     mean = np.linalg.solve(A, -g)
     return GaussianMeasure(mean=mean, cov=Q, t=None)

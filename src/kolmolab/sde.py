@@ -255,10 +255,9 @@ def _spectral_norms(J):
     return np.linalg.svd(J, compute_uv=False)[:, 0]
 
 
-def grid_lipschitz(spec, grid=None):
+def grid_lipschitz(spec):
     """max ||jac_b(t, x)||_2 over the audit grid (curvature proxy)."""
-    if grid is None:
-        grid = default_audit_grid(spec)
+    grid = default_audit_grid(spec)
     worst = 0.0
     for tk in grid.ts:
         J = spec.drift_jacobian(tk, grid.xs)
@@ -266,24 +265,22 @@ def grid_lipschitz(spec, grid=None):
     return worst
 
 
-def eps_dt(spec, dt, L_grid=None):
+def eps_dt(spec, dt):
     """Discretization allowance for the pathwise Jacobian bound."""
-    if L_grid is None:
-        L_grid = grid_lipschitz(spec)
-    return 10.0 * dt * L_grid
+    return 10.0 * dt * grid_lipschitz(spec)
 
 
-def jacobian_bound_violations(spec, bundle, L_grid=None):
+def jacobian_bound_violations(spec, bundle):
     """Count paths violating ||J|| <= exp((r0 + eps_dt)(t-s)).
 
     Returns (violations, bound, worst_norm)."""
     return _bound_violations(
-        spec, bundle.cfg.dt, bundle.t - bundle.s, jacobian_norms(bundle), L_grid
+        spec, bundle.cfg.dt, bundle.t - bundle.s, jacobian_norms(bundle)
     )
 
 
-def _bound_violations(spec, dt, span, norms, L_grid=None):
-    eps = eps_dt(spec, dt, L_grid)
+def _bound_violations(spec, dt, span, norms):
+    eps = eps_dt(spec, dt)
     bound = math.exp((spec.r0 + eps) * span)
     return int(np.sum(norms > bound)), bound, float(np.max(norms))
 

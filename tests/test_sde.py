@@ -224,10 +224,9 @@ def test_jacobian_certificate_equals_the_simulated_one(name, scheme, monkeypatch
 
 def test_eps_dt_scales_linearly(ou_const_bundle):
     spec = ou_const_bundle.spec
-    L = sde.grid_lipschitz(spec)
-    assert L == pytest.approx(1.0)
-    assert sde.eps_dt(spec, 1e-3, L) == pytest.approx(1e-2)
-    assert sde.eps_dt(spec, 2e-3, L) == pytest.approx(2.0 * sde.eps_dt(spec, 1e-3, L))
+    assert sde.grid_lipschitz(spec) == pytest.approx(1.0)
+    assert sde.eps_dt(spec, 1e-3) == pytest.approx(1e-2)
+    assert sde.eps_dt(spec, 2e-3) == pytest.approx(2.0 * sde.eps_dt(spec, 1e-3))
 
 
 # ----------------------------------------------------------------------
