@@ -1,4 +1,5 @@
-"""The package root, the README's library example, and unused imports."""
+"""The package root, the README's library example, unused imports and
+parameters."""
 
 import ast
 import pathlib
@@ -64,3 +65,44 @@ def test_no_module_imports_a_name_it_never_uses():
     src = pathlib.Path(kolmolab.__file__).resolve().parent
     paths = sorted(p for p in src.glob("*.py") if p.name != "__init__.py")
     assert [u for p in paths for u in unused_imports(p)] == []
+
+
+# Callables whose signature is an interface, as (module, callable, parameter):
+# a catalog coefficient b(t, x), jac_b(t, x) or Q(t) of an autonomous model
+# ignores its clock, ``memo.fresh`` takes the memo's kind, and every
+# experiment runner takes (ctx, exp).
+INTERFACE_PARAMETERS = {
+    ("catalog.py", "b", "t"),
+    ("catalog.py", "jac_b", "t"),
+    ("catalog.py", "<lambda>", "t"),
+    ("memo.py", "fresh", "kind"),
+    ("runner.py", "_run_audit", "exp"),
+}
+
+
+def unread_parameters(path):
+    """(module, callable, parameter) of each parameter, other than ``self``
+    and ``cls``, that its function or lambda never reads."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None
+        ]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        name = getattr(node, "name", "<lambda>")
+        out += [
+            (path.name, name, p.arg)
+            for p in params
+            if p.arg not in ("self", "cls") and p.arg not in read
+        ]
+    return out
+
+
+def test_every_parameter_is_read():
+    src = pathlib.Path(kolmolab.__file__).resolve().parent
+    found = {u for p in sorted(src.glob("*.py")) for u in unread_parameters(p)}
+    assert found - INTERFACE_PARAMETERS == set()
