@@ -537,18 +537,10 @@ def _kernel_offsets(model, t, s, order, memo):
 
 
 def _point_chunks(n, offsets):
-    """Slices of the n evaluation points, about _CHUNK_VALUES values each.
-
-    No slice holds a single point unless n == 1: numpy computes a one-row
-    matrix-vector product with a dot kernel that sums in another order than
-    the multi-row kernel, and a point's value must not depend on where the
-    chunk boundaries fall."""
-    step = max(2, _CHUNK_VALUES // offsets.size)
-    i0 = 0
-    while i0 < n:
-        i1 = n if n - i0 <= step + 1 else i0 + step
-        yield slice(i0, i1)
-        i0 = i1
+    """Slices of the n evaluation points, about _CHUNK_VALUES values each."""
+    step = max(1, _CHUNK_VALUES // offsets.size)
+    for i0 in range(0, n, step):
+        yield slice(i0, i0 + step)
 
 
 # A ridge a phi(<w, y> + b) sees the kernel's Z ~ N(0, C) only through the
@@ -613,6 +605,9 @@ def ou_apply_G(model, t, s, f, x, order=GH_ORDER, memo=fresh, grad=False):
     M, m, offsets, w = memo("kernels", _kernel_offsets, model, t, s, order, memo)
     centers = xb @ M.T + m  # (n, d)
     out = np.empty(shape)
+    # Each point's sum over the nodes is row-local (einsum, not a BLAS
+    # matrix-vector product, whose rounding depends on the rows in a
+    # chunk), so a point's value does not depend on the batch it comes in.
     for chunk in _point_chunks(xb.shape[0], offsets):
         pts = centers[chunk, None, :] + offsets[None, :, :]
         vals = np.asarray(evaluate(pts.reshape(-1, model.dim)), dtype=float)
@@ -621,7 +616,7 @@ def ou_apply_G(model, t, s, f, x, order=GH_ORDER, memo=fresh, grad=False):
                 "nkd,k->nd", vals.reshape(-1, w.shape[0], model.dim), w
             )
         else:
-            out[chunk] = vals.reshape(-1, w.shape[0]) @ w
+            out[chunk] = np.einsum("nk,k->n", vals.reshape(-1, w.shape[0]), w)
     if grad:
         out = out @ M
     return out[0] if single else out
