@@ -124,7 +124,6 @@ class PoincareResult:
     quotient: float
     tolerance: float
     numerator: float
-    denominator: float
 
 
 class _Shifted:
@@ -159,7 +158,7 @@ def poincare_quotient(mu, f, p=2):
         )
     q = num / den
     tol = q * math.hypot(tn / max(num, _TINY), td / den)
-    return PoincareResult(quotient=q, tolerance=tol, numerator=num, denominator=den)
+    return PoincareResult(quotient=q, tolerance=tol, numerator=num)
 
 
 class HyperExponent(NamedTuple):
@@ -192,10 +191,7 @@ class HyperResult:
     rhs: float
     tolerance: float
     p: float
-    q: float
-    s: float
     t: float
-    saturated: bool
 
 
 def hyper_check(engine, s, t, f, q):
@@ -211,10 +207,7 @@ def hyper_check(engine, s, t, f, q):
             rhs=math.nan,
             tolerance=math.nan,
             p=exp_.p,
-            q=q,
-            s=s,
             t=t,
-            saturated=True,
         )
     lhs, tl = lp_norm_of_G(engine, s, t, f, exp_.p)
     rhs, tr = lp_norm_measure(engine.measure(s), f, q)
@@ -226,17 +219,13 @@ def hyper_check(engine, s, t, f, q):
         rhs=rhs,
         tolerance=tol,
         p=exp_.p,
-        q=q,
-        s=s,
         t=t,
-        saturated=False,
     )
 
 
 @dataclass(frozen=True)
 class HyperCurve:
     ts: np.ndarray
-    betas: np.ndarray
     tolerances: np.ndarray
     max_increase: float
     monotone: bool
@@ -265,21 +254,17 @@ def hyper_curve(engine, s, f, q, gaps):
     slack = 3.0 * (tols[1:] + tols[:-1])
     max_inc = float(np.max(increases)) if increases.size else 0.0
     monotone = bool(np.all(increases <= slack)) if increases.size else True
-    return HyperCurve(
-        ts=ts, betas=betas, tolerances=tols, max_increase=max_inc, monotone=monotone
-    )
+    return HyperCurve(ts=ts, tolerances=tols, max_increase=max_inc, monotone=monotone)
 
 
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares fit value ~ exp(intercept + omega * gap)."""
+    """Least-squares fit value ~ exp(intercept + omega * gap): the rate, the
+    largest residual of the log fit and the fitted (min, max) gap."""
 
     omega: float
-    intercept: float
     residual: float
     window: tuple
-    gaps: tuple = ()
-    values: tuple = ()
 
 
 def _fit_loglinear(gaps, vals):
@@ -290,11 +275,8 @@ def _fit_loglinear(gaps, vals):
     resid = float(np.max(np.abs(design @ coef - np.log(vals))))
     return RateFit(
         omega=float(coef[0]),
-        intercept=float(coef[1]),
         residual=resid,
         window=(float(gaps.min()), float(gaps.max())),
-        gaps=tuple(gaps.tolist()),
-        values=tuple(vals.tolist()),
     )
 
 
@@ -356,7 +338,6 @@ class RateAgreement:
     passed: bool
     gap: float
     cross_spread: Optional[float]
-    tol: float
 
 
 def rate_agreement(fit_a, fit_b, tol=0.1, cross_fits=()):
@@ -371,7 +352,7 @@ def rate_agreement(fit_a, fit_b, tol=0.1, cross_fits=()):
         omegas = [f.omega for f in cross_fits]
         spread = float(max(omegas) - min(omegas))
         ok = ok and spread <= tol
-    return RateAgreement(passed=bool(ok), gap=float(gap), cross_spread=spread, tol=tol)
+    return RateAgreement(passed=bool(ok), gap=float(gap), cross_spread=spread)
 
 
 CSV_COLUMNS = ("scenario", "op", "p", "q", "t", "s", "value", "tolerance", "verdict")

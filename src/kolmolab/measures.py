@@ -278,7 +278,6 @@ class _GeneratorValues:
 class GapReport:
     value: float
     tolerance: float
-    per_function: tuple
     mean_gap: Optional[float] = None
     cov_gap: Optional[float] = None
 
@@ -306,7 +305,6 @@ def weak_star_gap(mu1, mu2, family=None):
     return GapReport(
         value=float(gaps[k]),
         tolerance=float(tols[k]),
-        per_function=tuple(gaps),
         mean_gap=mean_gap,
         cov_gap=cov_gap,
     )

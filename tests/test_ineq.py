@@ -356,8 +356,8 @@ def test_decay_gradient_window_starts_at_one(ou_const_engine):
 
 
 def test_rate_agreement_flags_mismatch():
-    a = RateFit(omega=-1.0, intercept=0.0, residual=0.0, window=(1.0, 4.0))
-    b = RateFit(omega=-2.0, intercept=0.0, residual=0.0, window=(1.0, 4.0))
+    a = RateFit(omega=-1.0, residual=0.0, window=(1.0, 4.0))
+    b = RateFit(omega=-2.0, residual=0.0, window=(1.0, 4.0))
     assert not rate_agreement(a, b).passed
     assert rate_agreement(a, a).passed
 
