@@ -151,8 +151,9 @@ def invariance_defect(engine, s, t, fns, mu_s=None, mu_t=None):
     On the analytic engine both sides are quadratures (outer Gauss-Hermite
     over mu_t of the kernel-evaluated G(t,s)f, and a plain quadrature of f
     under mu_s; the left side's tolerance is its gap to the kernel rule of
-    ``ou.GH_HALF_ORDER``), with missing measures from ``engine.measure`` and the
-    kernel moments from ``engine.memo`` (see :func:`kolmolab.ou.ou_apply_G`).
+    ``ou.GH_HALF_ORDER``), with missing measures from ``engine.measure`` and
+    the kernel moments from ``engine.memo`` (see
+    :func:`kolmolab.ou.ou_apply_G`).
     On the Monte Carlo engine the left side pushes a mu_t cloud from s to t
     (``engine.push``: one path per sample, shared by all functions) and the
     right side averages f over a mu_s cloud; missing clouds are the

@@ -519,8 +519,9 @@ def _fit_certificate(spec, phi, grid):
 def build_lyapunov_gaussian(spec, ybar=None, K2=None):
     """Certificate phi = exp(delta |x - ybar|^2) with delta = |r0| / (4 Lambda).
 
-    Precondition (checked on the audit grid): sup_t |b(t, ybar)| <= K2.  When K2 is
-    None it is measured from the grid and reported on the certificate's meta.
+    Precondition (checked on the audit grid): sup_t |b(t, ybar)| <= K2.  When
+    K2 is None it is measured from the grid and reported on the certificate's
+    meta.
     """
     if spec.r0 >= 0.0:
         raise CertificateUnavailableError(
