@@ -588,8 +588,8 @@ def test_apply_G_chunking_matches_single_chunk(rng, n):
     ids=["ridge-d2-300", "tensor-d3-9", "tensor-d3-40", "tensor-d2-1394"],
 )
 def test_rule_values_do_not_depend_on_the_batch(rng, dim, n, ridge):
-    # the tensor cases are the batches where a BLAS matrix-vector sum over
-    # the nodes gave a point a value up to 7.8e-16 away from its own
+    # in the tensor cases, a BLAS matrix-vector sum over the nodes gave a
+    # point in the batch a value up to 7e-16 away from its value alone
     model = catalog.get("ou_periodic", dim=dim).model
     if ridge:
         f = functions.hyper_battery(dim, 1)[0]
