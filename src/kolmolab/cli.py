@@ -29,7 +29,7 @@ from .scenario import (
     ExperimentDecl,
     Overrides,
     Scenario,
-    _value,
+    _param_value,
     _tokenize,
     apply_overrides,
     load_scenario,
@@ -84,7 +84,7 @@ def _parse_assignment(text):
     tokens = _tokenize(raw.strip(), 1)
     if not tokens:
         raise ScenarioError(f"--set {key} has no value")
-    return key, _value(tokens, 1)
+    return key, _param_value(key, tokens, 1)
 
 
 def _load_target(target):

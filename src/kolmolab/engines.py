@@ -6,23 +6,25 @@ The inequality suites only need a tiny surface:
 * ``outer_points(mu)``                 -- (points, quadrature weights or None),
 * ``apply_G_at(s, t, f, xs)``          -- (values, variance of each value),
 * ``grad_G_at(s, t, f, xs)``           -- (gradients, variance per component),
+* ``cloud(t, stream)``, ``push(mu, s, t)`` -- mu_t from a stream, and mu
+  carried by G(t, s), whose ``expectation(f)`` is (int G(t,s)f dmu, tol),
 * ``memo``                             -- a :class:`~kolmolab.memo.Memo`,
-* ``kind``                             -- "analytic" or "mc",
 * ``spec``                             -- the :class:`~kolmolab.model.ProblemSpec`,
-* its declared constants ``eta0, Lambda, r0``.
+* its declared constants ``eta0, Lambda, r0`` and decay's defaults
+  ``decay_gaps_a``, ``decay_gaps_b`` and ``decay_affine``.
 
 Both kinds of measure share one surface too: ``mu.rule()`` gives
 (points, weights) -- Gauss-Hermite nodes of order ``ou.GH_ORDER`` for a
-Gaussian, the samples and ``None`` for a cloud -- and ``mu.expectation(f)``
-gives (value, tolerance).
+Gaussian, the samples and ``None`` for a cloud -- ``mu.expectation(f)``
+gives (value, tolerance), and ``difference``, ``add_errors``, ``tail_mass``,
+``parameter_gap`` and ``is_standard`` hold what depends on the kind.
 
 ``AnalyticOUEngine`` evaluates everything by quadrature against the linear
-model; ``MonteCarloEngine`` propagates clouds with the path simulator, using
-``n_inner`` replicate paths per evaluation point.  The Monte Carlo engine
-alone decides its clouds: ``cloud(t, stream)`` is a burn-in of
-``cloud_size`` paths, and ``push(mu, s, t)`` carries a cloud through the
-kernel of G(t, s); every seed they use is derived here from ``cfg.seed``
-and a stream tag (``_STREAM_TAGS``).
+model, and every stream of mu_t is its exact ``measure(t)``.
+``MonteCarloEngine`` propagates clouds with the path simulator, using
+``n_inner`` replicate paths per evaluation point.  Its ``cloud(t, stream)``
+is a burn-in of ``cloud_size`` paths, and its ``push`` moves one path per
+point; every seed is derived from ``cfg.seed`` and a stream tag.
 Through its memo (a run's, when given one) the analytic engine computes its
 omega fit, measures and kernel moments once per key, the Monte Carlo engine
 its burn-in clouds once per (t, size, seed) -- once per (size, seed) for an
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,7 +52,7 @@ from .errors import DomainError
 from .measures import EmpiricalMeasure, burn_in_start, sample_mu
 from .memo import Memo
 from .model import reflect_time
-from .ou import estimate_omega0, evolution_measure, ou_apply_G
+from .ou import GH_HALF_ORDER, estimate_omega0, evolution_measure, ou_apply_G
 
 __all__ = [
     "AnalyticOUEngine",
@@ -67,7 +70,11 @@ class AnalyticOUEngine:
     model's :class:`~kolmolab.model.ProblemSpec` with its declared
     constants."""
 
-    kind = "analytic"
+    # decay's default gaps on sides A and B, and whether its family holds
+    # the unbounded affine direction
+    decay_gaps_a = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
+    decay_gaps_b = (1.0, 1.5, 2.0, 3.0, 4.0)
+    decay_affine = True
 
     def __init__(self, model, spec, tol=1e-8, memo=None):
         self.model = model
@@ -93,6 +100,25 @@ class AnalyticOUEngine:
 
     def _evolution_measure(self, t):
         return evolution_measure(self.model, t, self.tol, self.omega_fit)
+
+    def cloud(self, t, stream="mu_t"):
+        """mu_t: a Gaussian is exact, so every stream gets the same one."""
+        return self.measure(t)
+
+    def push(self, mu, s, t):
+        """mu carried by G(t, s): ``expectation(f)`` is mu's rule applied to
+        ``ou_apply_G``, with the gap (at least 1e-9) to the kernel rule of
+        ``ou.GH_HALF_ORDER`` as its tolerance."""
+        pts, w = mu.rule()
+
+        def expectation(f):
+            full = float(w @ ou_apply_G(self.model, t, s, f, pts, memo=self.memo))
+            half = float(
+                w @ ou_apply_G(self.model, t, s, f, pts, GH_HALF_ORDER, self.memo)
+            )
+            return full, max(1e-9, abs(full - half))
+
+        return SimpleNamespace(expectation=expectation)
 
     def outer_points(self, mu):
         return mu.rule()
@@ -150,7 +176,9 @@ def _invariant_cloud(spec, tol, cfg):
 class MonteCarloEngine:
     """Nested Monte Carlo evaluation for general dissipative drifts."""
 
-    kind = "mc"
+    # decay's defaults (see AnalyticOUEngine)
+    decay_gaps_a = decay_gaps_b = (1.0, 2.0, 3.0)
+    decay_affine = False
 
     def __init__(
         self, spec, cfg=None, cloud_size=8192, n_inner=192, n_outer=2048, memo=None

@@ -27,14 +27,13 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from . import sde
 from .errors import DomainError, HorizonError
 from .functions import bounded_test_family
 from .io import atomic_write_text
 from .model import apply_generator, reflect_time
-from .ou import GH_HALF_ORDER, GaussianMeasure, ou_apply_G
+from .ou import GaussianMeasure
 
 __all__ = [
     "EmpiricalMeasure",
@@ -43,7 +42,6 @@ __all__ = [
     "burn_in_start",
     "sample_mu",
     "invariance_defect",
-    "tightness_profile",
     "flow_derivative_defect",
     "weak_star_gap",
     "export_measure_csv",
@@ -74,10 +72,39 @@ class EmpiricalMeasure:
 
     def expectation(self, f):
         """(mean, stderr) of f over the cloud."""
-        vals = np.asarray(f.value(self.samples), dtype=float)
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(self.n)) if self.n > 1 else math.inf
-        return mean, se
+        return _mean_se(np.asarray(f.value(self.samples), dtype=float))
+
+    def difference(self, other, f, scale):
+        """(mean, stderr) of the paired differences (f(x_i) - f(y_i)) / scale
+        between this cloud and ``other``, drawn on common random numbers."""
+        f_p = np.asarray(f.value(self.samples), dtype=float)
+        f_m = np.asarray(f.value(other.samples), dtype=float)
+        return _mean_se((f_p - f_m) / scale)
+
+    @staticmethod
+    def add_errors(a, b):
+        """Independent standard errors add in quadrature."""
+        return math.hypot(a, b)
+
+    def tail_mass(self, radii):
+        """Share of the cloud outside |x| > R for each R in ``radii``."""
+        r = np.linalg.norm(self.samples, axis=1)
+        return np.array([float(np.mean(r > R)) for R in np.atleast_1d(radii)])
+
+    def parameter_gap(self, other):
+        """A cloud has no parameters: its :func:`weak_star_gap` to ``other``."""
+        return weak_star_gap(self, other).value
+
+    def is_standard(self):
+        """Never: a cloud only approximates the standard Gaussian."""
+        return False
+
+
+def _mean_se(vals):
+    """(mean, standard error of the mean) of a sample."""
+    n = vals.shape[0]
+    se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    return float(np.mean(vals)), se
 
 
 @dataclass(frozen=True)
@@ -148,48 +175,23 @@ def invariance_defect(engine, s, t, fns, mu_s=None, mu_t=None):
     """| int G(t,s) f d mu_t - int f d mu_s | with its tolerance, one
     :class:`Defect` per function in ``fns``.
 
-    On the analytic engine both sides are quadratures (outer Gauss-Hermite
-    over mu_t of the kernel-evaluated G(t,s)f, and a plain quadrature of f
-    under mu_s; the left side's tolerance is its gap to the kernel rule of
-    ``ou.GH_HALF_ORDER``), with missing measures from ``engine.measure`` and
-    the kernel moments from ``engine.memo`` (see
-    :func:`kolmolab.ou.ou_apply_G`).
-    On the Monte Carlo engine the left side pushes a mu_t cloud from s to t
-    (``engine.push``: one path per sample, shared by all functions) and the
-    right side averages f over a mu_s cloud; missing clouds are the
-    engine's burn-ins ``engine.cloud(t)`` and ``engine.cloud(s, "mu_s")``,
-    an independent stream.
+    The left side averages f over ``engine.push(mu_t, s, t)``, shared by
+    all functions, the right side over mu_s.  Missing measures are
+    ``engine.cloud(t)`` and ``engine.cloud(s, "mu_s")``, which on the Monte
+    Carlo engine are independent burn-in streams.
     """
     if t <= s:
         raise DomainError(f"need s < t, got s={s}, t={t}")
-    if engine.kind == "analytic":
-        model = engine.model
-        mu_t = mu_t or engine.measure(t)
-        mu_s = mu_s or engine.measure(s)
-        pts, w = mu_t.rule()
-        defects = []
-        for f in fns:
-            lhs = float(w @ ou_apply_G(model, t, s, f, pts, memo=engine.memo))
-            rhs, rhs_err = mu_s.expectation(f)
-            lhs_check = float(
-                w @ ou_apply_G(model, t, s, f, pts, GH_HALF_ORDER, engine.memo)
-            )
-            tol = max(1e-9, abs(lhs - lhs_check)) + rhs_err
-            defects.append(
-                Defect(value=abs(lhs - rhs), tolerance=tol, lhs=lhs, rhs=rhs)
-            )
-        return defects
-
     pushed = engine.push(mu_t or engine.cloud(t), s, t)
     mu_s = mu_s or engine.cloud(s, "mu_s")
     defects = []
     for f in fns:
-        lhs, se_l = pushed.expectation(f)
-        rhs, se_r = mu_s.expectation(f)
+        lhs, e_l = pushed.expectation(f)
+        rhs, e_r = mu_s.expectation(f)
         defects.append(
             Defect(
                 value=abs(lhs - rhs),
-                tolerance=math.hypot(se_l, se_r),
+                tolerance=mu_s.add_errors(e_l, e_r),
                 lhs=lhs,
                 rhs=rhs,
             )
@@ -197,31 +199,14 @@ def invariance_defect(engine, s, t, fns, mu_s=None, mu_t=None):
     return defects
 
 
-def tightness_profile(mu, radii):
-    """Mass outside the centered balls |x| > R for each R in ``radii``."""
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    if isinstance(mu, GaussianMeasure):
-        if mu.dim == 1:
-            m, sd = float(mu.mean[0]), math.sqrt(float(mu.cov[0, 0]))
-            upper = special.ndtr((-radii - m) / sd)
-            lower = 1.0 - special.ndtr((radii - m) / sd)
-            return upper + lower
-        pts = mu.sample(200_000, seed=12345)
-        r = np.linalg.norm(pts, axis=1)
-        return np.array([float(np.mean(r > R)) for R in radii])
-    r = np.linalg.norm(mu.samples, axis=1)
-    return np.array([float(np.mean(r > R)) for R in radii])
-
-
 def flow_derivative_defect(engine, f, r, h=1e-2):
     """Defect of d/dr m_r(f) = -m_r(A(r) f) via a central difference.
 
     Only admits functions that are constant outside a compact set (the
-    identity is proved for that class); others are refused.  On the
-    analytic engine the Gaussians mu_{r-h}, mu_r and mu_{r+h} come from
-    ``engine.measure``.  On the Monte Carlo engine the two offset clouds are
-    the burn-ins ``engine.cloud(r - h)`` and ``engine.cloud(r + h)``, and the
-    mu_r cloud is ``engine.cloud(r, "flow_mid")``.
+    identity is proved for that class); others are refused.  The measures
+    are ``engine.cloud(r + h)``, ``engine.cloud(r - h)`` -- Monte Carlo
+    burn-ins on common random numbers, so ``difference`` pairs them path
+    by path -- and ``engine.cloud(r, "flow_mid")``.
     """
     if not f.meta.compact_support:
         raise DomainError(
@@ -230,31 +215,13 @@ def flow_derivative_defect(engine, f, r, h=1e-2):
         )
     if f.hessian is None:
         raise DomainError("flow_derivative_defect needs a C^2 function")
-
-    if engine.kind == "analytic":
-        mu_p = engine.measure(r + h)
-        mu_m = engine.measure(r - h)
-        mu_0 = engine.measure(r)
-        m_p, e_p = mu_p.expectation(f)
-        m_m, e_m = mu_m.expectation(f)
-        gen = mu_0.expectation(_GeneratorValues(engine.spec, r, f))[0]
-        diff = (m_p - m_m) / (2.0 * h)
-        tol = (e_p + e_m) / (2.0 * h) + 1e-9
-        return Defect(value=abs(diff + gen), tolerance=tol, lhs=diff, rhs=-gen)
-
-    # Common random numbers: both offset clouds share the seed and the burn-in
-    # span, so the central difference is a mean of pathwise-paired
-    # differences.  Each burn-in mirrors its clock about its own target time.
-    f_p = np.asarray(f.value(engine.cloud(r + h).samples), dtype=float)
-    f_m = np.asarray(f.value(engine.cloud(r - h).samples), dtype=float)
-    pair_diff = (f_p - f_m) / (2.0 * h)
-    diff = float(np.mean(pair_diff))
-    se_diff = float(np.std(pair_diff, ddof=1) / math.sqrt(pair_diff.shape[0]))
+    mu_p = engine.cloud(r + h)
+    diff, e_diff = mu_p.difference(engine.cloud(r - h), f, 2.0 * h)
     mu_0 = engine.cloud(r, "flow_mid")
-    gen, se_gen = mu_0.expectation(_GeneratorValues(engine.spec, r, f))
+    gen, e_gen = mu_0.expectation(_GeneratorValues(engine.spec, r, f))
     return Defect(
         value=abs(diff + gen),
-        tolerance=math.hypot(se_diff, se_gen),
+        tolerance=mu_p.add_errors(e_diff, e_gen),
         lhs=diff,
         rhs=-gen,
     )
@@ -279,15 +246,10 @@ class _GeneratorValues:
 class GapReport:
     value: float
     tolerance: float
-    mean_gap: Optional[float] = None
-    cov_gap: Optional[float] = None
 
 
 def weak_star_gap(mu1, mu2, family=None):
-    """max_f |m(f; mu1) - m(f; mu2)| over a fixed bounded C^2 family.
-
-    For two Gaussian arguments the exact parameter gaps |mean1 - mean2| and
-    ||cov1 - cov2||_2 are reported alongside."""
+    """max_f |m(f; mu1) - m(f; mu2)| over a fixed bounded C^2 family."""
     dim = mu1.dim
     if family is None:
         family = bounded_test_family(dim)
@@ -298,17 +260,8 @@ def weak_star_gap(mu1, mu2, family=None):
         m2, e2 = mu2.expectation(f)
         gaps.append(abs(m1 - m2))
         tols.append(math.hypot(e1, e2))
-    mean_gap = cov_gap = None
-    if isinstance(mu1, GaussianMeasure) and isinstance(mu2, GaussianMeasure):
-        mean_gap = float(np.linalg.norm(mu1.mean - mu2.mean))
-        cov_gap = float(np.linalg.norm(mu1.cov - mu2.cov, 2))
     k = int(np.argmax(gaps))
-    return GapReport(
-        value=float(gaps[k]),
-        tolerance=float(tols[k]),
-        mean_gap=mean_gap,
-        cov_gap=cov_gap,
-    )
+    return GapReport(value=float(gaps[k]), tolerance=float(tols[k]))
 
 
 def export_measure_csv(mu, path):

@@ -32,7 +32,6 @@ public entry points and promoted.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -405,25 +404,18 @@ class MonotonicityReport:
     tol: float = MARGIN_TOL
 
 
-def check_monotonicity(spec, pairs=None):
+def check_monotonicity(spec):
     """Check <b(t,x) - b(t,y), x - y> <= r0 |x - y|^2 on sampled pairs.
 
-    ``pairs`` is an (m, 2, d) array; by default 256 pairs are drawn from the
-    audit box with a fixed seed.  Coincident pairs are skipped with a
-    warning.  Reports the maximal excess over r0 of the quotient at every
-    fourth time of the audit grid.
+    The 256 pairs are drawn uniformly from the audit box with a fixed seed.
+    Reports the maximal excess over r0 of the quotient at every fourth time
+    of the audit grid.
     """
     ts = default_audit_grid(spec).ts[::4]
-    if pairs is None:
-        rng = np.random.Generator(np.random.Philox(key=7))
-        pairs = rng.uniform(-10.0, 10.0, size=(256, 2, spec.dim))
-    pairs = np.asarray(pairs, dtype=float)
+    rng = np.random.Generator(np.random.Philox(key=7))
+    pairs = rng.uniform(-10.0, 10.0, size=(256, 2, spec.dim))
     diff = pairs[:, 0, :] - pairs[:, 1, :]
     sq = np.einsum("ni,ni->n", diff, diff)
-    keep = sq > 0.0
-    if not np.all(keep):
-        warnings.warn("skipping coincident pair(s) in monotonicity check")
-        pairs, diff, sq = pairs[keep], diff[keep], sq[keep]
     max_excess = -math.inf
     witness = None
     for t in ts:
@@ -440,34 +432,28 @@ def check_monotonicity(spec, pairs=None):
     )
 
 
-def _radial_exp_gaussian(dim, delta, center):
-    """phi(x) = exp(delta |x - center|^2) as a TestFunction."""
-    c = np.asarray(center, dtype=float).reshape(dim)
+def _radial_exp_gaussian(dim, delta):
+    """phi(x) = exp(delta |x|^2) as a TestFunction."""
 
     def value(x):
-        y = x - c
-        return np.exp(delta * np.einsum("ni,ni->n", y, y))
+        return np.exp(delta * np.einsum("ni,ni->n", x, x))
 
     def gradient(x):
-        y = x - c
-        phi = value(x)
-        return 2.0 * delta * y * phi[:, None]
+        return 2.0 * delta * x * value(x)[:, None]
 
     def hessian(x):
-        y = x - c
-        phi = value(x)
         eye = np.eye(dim)
         H = 2.0 * delta * eye[None, :, :] + 4.0 * delta**2 * (
-            y[:, :, None] * y[:, None, :]
+            x[:, :, None] * x[:, None, :]
         )
-        return H * phi[:, None, None]
+        return H * value(x)[:, None, None]
 
     return TestFunction(
         dim=dim,
         value=value,
         gradient=gradient,
         hessian=hessian,
-        meta=FunctionMeta(bounded=False, name="exp(d*|x-y|^2)"),
+        meta=FunctionMeta(bounded=False, name="exp(d*|x|^2)"),
     )
 
 
@@ -516,29 +502,14 @@ def _fit_certificate(spec, phi, grid):
     )
 
 
-def build_lyapunov_gaussian(spec, ybar=None, K2=None):
-    """Certificate phi = exp(delta |x - ybar|^2) with delta = |r0| / (4 Lambda).
-
-    Precondition (checked on the audit grid): sup_t |b(t, ybar)| <= K2.  When
-    K2 is None it is measured from the grid and reported on the certificate's
-    meta.
-    """
+def build_lyapunov_gaussian(spec):
+    """Certificate phi = exp(delta |x|^2) with delta = |r0| / (4 Lambda)."""
     if spec.r0 >= 0.0:
         raise CertificateUnavailableError(
             "certificates require a negative dissipativity constant r0"
         )
     grid = default_audit_grid(spec)
-    y = np.zeros(spec.dim) if ybar is None else np.asarray(ybar, dtype=float)
-    norms = np.array(
-        [np.linalg.norm(spec.drift(t, y[None, :])[0]) for t in grid.ts]
-    )
-    measured = float(np.max(norms))
-    if K2 is not None and measured > K2 + MARGIN_TOL:
-        raise CertificateUnavailableError(
-            f"sup_t |b(t, ybar)| = {measured:.6g} exceeds K2 = {K2}",
-            witness=(float(grid.ts[int(np.argmax(norms))]), y.copy()),
-        )
     delta = abs(spec.r0) / (4.0 * spec.Lambda)
-    phi = _radial_exp_gaussian(spec.dim, delta, y)
+    phi = _radial_exp_gaussian(spec.dim, delta)
     a, c = _fit_certificate(spec, phi, _certificate_grid(spec, delta, grid))
     return LyapunovCertificate(phi=phi, a=a, c=c, delta=delta)

@@ -51,7 +51,6 @@ from .measures import (
     export_measure_json,
     flow_derivative_defect,
     invariance_defect,
-    tightness_profile,
     weak_star_gap,
 )
 from .model import (
@@ -60,7 +59,7 @@ from .model import (
     build_lyapunov_gaussian,
     check_monotonicity,
 )
-from .ou import GaussianMeasure, solve_lyapunov_limit
+from .ou import solve_lyapunov_limit
 from .scenario import validate_scenario
 # runner does not call simulate; perfbench's tracing tests reach the
 # simulator as runner.simulate
@@ -177,7 +176,7 @@ def _fname(f, k):
 
 def _times(params, key, default):
     v = params.get(key, default)
-    if isinstance(v, list):
+    if isinstance(v, (list, tuple)):
         return [float(x) for x in v]
     return [float(v)]
 
@@ -239,11 +238,12 @@ def _run_measure(ctx, exp):
     s0 = ctx.default_s()
     ts = _times(exp.params, "times", exp.params.get("t", s0 + 2.0))
     radii = _times(exp.params, "radii", [1.0, 2.0, 4.0, 8.0])
+    export = exp.params.get("export", True) and bool(ctx.scn.out_dir)
     rows = []
     prev = None
     for t in ts:
         mu = engine.measure(t)
-        outside = tightness_profile(mu, radii)
+        outside = mu.tail_mass(radii)
         for R, frac in zip(radii, outside):
             op = f"tightness_outside[R={R:g}]"
             rows.append(_row(ctx, op, frac, 0.0, "info", t=t))
@@ -255,10 +255,7 @@ def _run_measure(ctx, exp):
                 _row(ctx, "weak_star_gap_prev", gap.value, gap.tolerance, "info", t=t)
             )
         prev = mu
-        # scenario scalars arrive as strings, so "false"/"off" must not
-        # fall into the truthy branch
-        export = exp.params.get("export", 1)
-        if ctx.scn.out_dir and export not in (0, "false", "no", "off"):
+        if export:
             base = Path(ctx.scn.out_dir) / ctx.scn.name
             base.mkdir(parents=True, exist_ok=True)
             stem = f"{exp.name}_t{t:g}"
@@ -345,14 +342,11 @@ def _run_lsi(ctx, exp):
         )
     # the truncated exponential saturates the inequality only under the
     # standard Gaussian; for any other measure its deficit is genuinely O(1)
-    mu_is_standard = (
+    if (
         ctx.dim == 1
         and abs(engine.Lambda - abs(engine.r0)) < 1e-12
-        and isinstance(mu, GaussianMeasure)
-        and np.allclose(mu.cov, np.eye(ctx.dim), atol=1e-6)
-        and np.allclose(mu.mean, 0.0, atol=1e-6)
-    )
-    if mu_is_standard:
+        and mu.is_standard()
+    ):
         f = fb.truncated_exp_ridge(lam=0.5)
         d = lsi_deficit(mu, f, 2.0, engine.Lambda, engine.r0)
         tol = max(3.0 * d.tolerance, 1e-9)
@@ -467,14 +461,13 @@ def _run_hyper(ctx, exp):
     return rows
 
 
-def _decay_family(ctx):
-    dim = ctx.dim
+def _decay_family(dim, affine):
     fns = [
         fb.tanh_ridge(np.full(dim, 1.0 / math.sqrt(dim))),
         fb.sin_ridge(np.full(dim, 0.8 / math.sqrt(dim)), b=0.3),
         fb.gaussian_bump(center=0.5, width=1.5, dim=dim),
     ]
-    if ctx.analytic:
+    if affine:
         fns.insert(0, fb.affine(np.ones(dim) / math.sqrt(dim)))
     return fns
 
@@ -483,12 +476,9 @@ def _run_decay(ctx, exp):
     engine = ctx.engine(exp)
     s = float(exp.params.get("s", ctx.default_s()))
     ps = _times(exp.params, "p", [1.5, 2.0, 4.0])
-    analytic = engine.kind == "analytic"
-    default_a = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0] if analytic else [1.0, 2.0, 3.0]
-    default_b = [1.0, 1.5, 2.0, 3.0, 4.0] if analytic else [1.0, 2.0, 3.0]
-    gaps_a = _times(exp.params, "gaps_a", default_a)
-    gaps_b = _times(exp.params, "gaps_b", default_b)
-    family = _decay_family(ctx)
+    gaps_a = _times(exp.params, "gaps_a", engine.decay_gaps_a)
+    gaps_b = _times(exp.params, "gaps_b", engine.decay_gaps_b)
+    family = _decay_family(ctx.dim, engine.decay_affine)
     r0 = engine.r0
     rows = []
     fits_a = {}
@@ -547,12 +537,8 @@ def _run_limit(ctx, exp):
     rows = []
     for t in sorted(ts):
         mu = engine.measure(t)
-        gap = weak_star_gap(mu, limit)
-        metric = gap.value
-        if gap.mean_gap is not None:
-            metric = max(gap.mean_gap, gap.cov_gap)
-        gaps.append(metric)
-        rows.append(_row(ctx, "limit_gap", metric, 0.0, "info", t=t))
+        gaps.append(mu.parameter_gap(limit))
+        rows.append(_row(ctx, "limit_gap", gaps[-1], 0.0, "info", t=t))
     increases = np.diff(gaps)
     worst_inc = float(np.max(increases)) if increases.size else 0.0
     rows.append(

@@ -70,6 +70,10 @@ _EXPERIMENT_KEYS = {
 }
 EXPERIMENT_KINDS = tuple(_EXPERIMENT_KEYS)
 
+# The spellings of export, matched case-insensitively, and their bools.
+_FLAGS = dict.fromkeys(("1", "true", "yes", "on"), True)
+_FLAGS.update(dict.fromkeys(("0", "false", "no", "off"), False))
+
 _CONSTANT_KEYS = ("eta0", "Lambda", "r0")
 _SIM_KEYS = ("dt", "paths", "seed", "scheme")
 
@@ -195,6 +199,16 @@ def _value(tokens, lineno):
             column=tokens[0].column,
         )
     return [_scalar(t.text) for t in tokens]
+
+
+def _param_value(key, tokens, lineno):
+    """The value of experiment key ``key``; export's spelling becomes a bool."""
+    value = _value(tokens, lineno)
+    if key == "export":
+        value = _FLAGS.get(str(value).lower())
+        if value is None:
+            _err(f"export takes one of {list(_FLAGS)}", lineno, tokens[0].column)
+    return value
 
 
 def parse_scenario(text, source="<string>"):
@@ -352,7 +366,7 @@ def parse_scenario(text, source="<string>"):
                     line=lineno,
                     column=key.column,
                 )
-            current_exp.params[key.text] = _value(rest, lineno)
+            current_exp.params[key.text] = _param_value(key.text, rest, lineno)
             continue
 
     if name is None:
@@ -551,6 +565,8 @@ def validate_scenario(scn):
         _check_signs(exp)
         _check_exponents(exp)
         _check_counts(exp)
+        if not isinstance(exp.params.get("export", True), bool):
+            _err(f"experiment {exp.name!r}: export must be a bool")
         if exp.kind == "limit" and bundle.model is None:
             _err(
                 f"experiment {exp.name!r}: the asymptotic-limit check needs "

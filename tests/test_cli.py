@@ -114,6 +114,13 @@ def test_run_writes_reports(tmp_path, capsys):
     assert {e["name"] for e in summary["experiments"]} == {"audit", "poincare"}
     assert "created_at" in summary["metadata"]
 
+    # the measure experiment writes mu_t unless its export flag is false
+    for flag, exported in (("True", True), ("False", False)):
+        out = tmp_path / f"export_{flag}"
+        args = ["--set", "times=[1.0]", "--set", f"export={flag}"]
+        assert cli.main(["measure", "ou_const", "--out", str(out), *args]) == 0
+        assert (out / "ou_const" / "measure_t1.json").exists() == exported
+
 
 def read_outputs(base):
     csvs = {p.name: p.read_bytes() for p in sorted(base.glob("*.csv"))}
@@ -256,6 +263,7 @@ def test_bad_set_syntax(capsys):
         ("limit", "slack=-1"),
         ("limit", "tol_final=0"),
         ("poincare", 'p="'),
+        ("measure", "export=maybe"),
     ],
 )
 def test_out_of_domain_values_are_configuration_errors(kind, assignment, capsys):

@@ -110,18 +110,18 @@ def test_lyapunov_moment_bound(cubic_bundle):
 
 
 def test_tightness_gaussian_exact():
-    prof = measures.tightness_profile(std_gaussian(), [1.96])
+    prof = std_gaussian().tail_mass([1.96])
     assert prof[0] == pytest.approx(0.05, abs=1e-4)
 
 
 def test_tightness_monotone():
     radii = [0.5, 1.0, 2.0, 4.0]
-    prof = measures.tightness_profile(std_gaussian(), radii)
+    prof = std_gaussian().tail_mass(radii)
     assert np.all(np.diff(prof) < 0.0)
     cloud = measures.EmpiricalMeasure(
         samples=np.random.default_rng(2).normal(size=(20000, 1))
     )
-    prof_emp = measures.tightness_profile(cloud, radii)
+    prof_emp = cloud.tail_mass(radii)
     assert np.all(np.diff(prof_emp) <= 0.0)
     # empirical tails agree with the exact ones up to binomial noise
     for p_exact, p_emp in zip(prof, prof_emp):
@@ -131,7 +131,7 @@ def test_tightness_monotone():
 
 def test_tightness_2d_gaussian():
     mu = GaussianMeasure(mean=np.zeros(2), cov=np.eye(2))
-    prof = measures.tightness_profile(mu, [1.0, 2.0])
+    prof = mu.tail_mass([1.0, 2.0])
     # |Z|^2 is chi^2(2): P(|Z| > R) = exp(-R^2 / 2)
     assert prof[0] == pytest.approx(math.exp(-0.5), abs=5e-3)
     assert prof[1] == pytest.approx(math.exp(-2.0), abs=5e-3)
@@ -396,6 +396,20 @@ def test_flow_derivative_refuses_unbounded(ou_const_engine):
         )
 
 
+@pytest.mark.parametrize("name, r", [("ou_const", 1.0), ("ou_periodic", 0.8)])
+def test_analytic_flow_tolerance_covers_its_generator_term(name, r):
+    # the Simpson gap of m_r(A(r) f) is part of the defect's error, and
+    # the defect stays within the tolerance that includes it
+    bundle = catalog.get(name)
+    engine = engines.engine_for(bundle)
+    for f in functions.compact_flat_battery(1, 5):
+        generator = measures._GeneratorValues(bundle.spec, r, f)
+        gap = engine.measure(r).expectation(generator)[1]
+        d = measures.flow_derivative_defect(engine, f, r)
+        assert d.tolerance >= gap, f.meta.name
+        assert d.value <= d.tolerance, f.meta.name
+
+
 # ----------------------------------------------------------------------
 # weak* gaps
 # ----------------------------------------------------------------------
@@ -405,8 +419,7 @@ def test_weak_star_gap_identical_measures():
     mu = std_gaussian()
     rep = measures.weak_star_gap(mu, mu)
     assert rep.value <= 1e-12
-    assert rep.mean_gap == 0.0
-    assert rep.cov_gap == 0.0
+    assert mu.parameter_gap(mu) == 0.0
 
 
 def test_weak_star_gap_detects_variance_shift():
@@ -416,7 +429,7 @@ def test_weak_star_gap_detects_variance_shift():
     x2 = functions.quadratic(np.array([[1.0]]))
     rep = measures.weak_star_gap(mu1, mu2, family=[x2])
     assert rep.value == pytest.approx(eps, abs=1e-9)
-    assert rep.cov_gap == pytest.approx(eps, abs=1e-12)
+    assert mu1.parameter_gap(mu2) == pytest.approx(eps, abs=1e-12)
 
 
 def test_weak_star_gap_empirical_vs_gaussian():

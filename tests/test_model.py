@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import check_gradients
 from kolmolab import catalog, functions
 from kolmolab.errors import (
-    CertificateUnavailableError,
     DomainError,
     EvaluationError,
 )
@@ -256,14 +255,6 @@ def test_monotonicity_cubic(cubic_bundle):
     assert report.max_excess <= MARGIN_TOL
 
 
-def test_monotonicity_skips_coincident_pairs():
-    spec = linear_scalar_spec()
-    pairs = np.array([[[1.0], [1.0]], [[2.0], [0.5]]])
-    with pytest.warns(UserWarning, match="coincident"):
-        report = check_monotonicity(spec, pairs=pairs)
-    assert report.passed
-
-
 def test_monotonicity_catches_violation():
     # drift -x + 2 sin x has slope up to +1 > r0 = -0.5
     spec = scalar_spec(
@@ -283,7 +274,7 @@ def test_monotonicity_catches_violation():
 
 
 def test_gaussian_certificate_linear(ou_const_bundle):
-    cert = build_lyapunov_gaussian(ou_const_bundle.spec, ybar=np.zeros(1), K2=0.0)
+    cert = build_lyapunov_gaussian(ou_const_bundle.spec)
     assert cert.delta == pytest.approx(0.25)
     spec = ou_const_bundle.spec
     grid = default_audit_grid(spec)
@@ -299,18 +290,8 @@ def test_gaussian_certificate_periodic_forcing():
         jac_b=lambda t, x: np.full((x.shape[0], 1, 1), -1.0),
         r0=-1.0,
     )
-    cert = build_lyapunov_gaussian(spec, ybar=np.zeros(1), K2=1.0)
+    cert = build_lyapunov_gaussian(spec)
     assert cert.delta == pytest.approx(0.25)
-
-
-def test_gaussian_certificate_rejects_wrong_K2():
-    spec = scalar_spec(
-        b=lambda t, x: -x + 1.0,
-        jac_b=lambda t, x: np.full((x.shape[0], 1, 1), -1.0),
-        r0=-1.0,
-    )
-    with pytest.raises(CertificateUnavailableError):
-        build_lyapunov_gaussian(spec, ybar=np.zeros(1), K2=0.0)
 
 
 def test_certificate_requires_valid_shape():

@@ -10,7 +10,6 @@ the quadrature -- before anything else in the package leans on them.
 
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -160,11 +159,6 @@ def test_omega_estimate_flags_growth():
     assert fit.omega > 0.5
     with pytest.raises(NoEvolutionMeasureError):
         evolution_measure(model, 0.0)
-
-
-def test_omega_estimate_rejects_short_horizon(ou_const_bundle):
-    with pytest.raises(DomainError):
-        estimate_omega0(ou_const_bundle.model, horizon=0.5)
 
 
 # ----------------------------------------------------------------------
@@ -607,13 +601,12 @@ def test_rule_values_do_not_depend_on_the_batch(rng, dim, n, ridge):
 
 def _ridge_cases(dim):
     """The ridges that experiments hand to ou_apply_G, plus the builders."""
-    ctx = SimpleNamespace(dim=dim, analytic=True)
     fns = [
         functions.tanh_ridge(np.linspace(0.5, -0.8, dim), 0.2),
         functions.sin_ridge(np.linspace(1.5, 0.3, dim), -0.4),
         functions.affine(np.linspace(-0.7, 1.1, dim), 0.3),
         *functions.hyper_battery(dim, 20),
-        *(f for f in runner._decay_family(ctx) if f.ridges is not None),
+        *(f for f in runner._decay_family(dim, True) if f.ridges is not None),
     ]
     assert len(fns) == 26
     return fns

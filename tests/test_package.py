@@ -1,5 +1,5 @@
 """The package root, the README's library example, unused imports and
-parameters."""
+parameters, and the one surface of the engines and of the measures."""
 
 import ast
 import pathlib
@@ -75,6 +75,7 @@ INTERFACE_PARAMETERS = {
     ("catalog.py", "b", "t"),
     ("catalog.py", "jac_b", "t"),
     ("catalog.py", "<lambda>", "t"),
+    ("engines.py", "cloud", "stream"),
     ("memo.py", "fresh", "kind"),
     ("runner.py", "_run_audit", "exp"),
 }
@@ -106,3 +107,72 @@ def test_every_parameter_is_read():
     src = pathlib.Path(kolmolab.__file__).resolve().parent
     found = {u for p in sorted(src.glob("*.py")) for u in unread_parameters(p)}
     assert found - INTERFACE_PARAMETERS == set()
+
+
+# The kind of engine or measure is asked only inside the engines and the
+# measures.  Outside them, as (module, function, expression), only the
+# export pair checks its library input, and the runner's one export
+# dispatch picks between the two.
+TYPE_BRANCHES_ALLOWED = {
+    ("measures.py", "export_measure_csv", "isinstance(mu, EmpiricalMeasure)"),
+    ("measures.py", "export_measure_json", "isinstance(mu, GaussianMeasure)"),
+    ("runner.py", "_run_measure", "hasattr(mu, 'samples')"),
+}
+MEASURE_TYPES = {"GaussianMeasure", "EmpiricalMeasure"}
+
+
+def is_type_branch(node):
+    """Whether ``node`` reads ``.kind`` of an engine, tests isinstance
+    against a measure class, or asks hasattr of a measure."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "kind" and "engine" in ast.unparse(node.value)
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        return False
+    if node.func.id == "isinstance" and len(node.args) == 2:
+        names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+        return bool(names & MEASURE_TYPES)
+    return node.func.id == "hasattr" and ast.unparse(node.args[0]).startswith("mu")
+
+
+def type_branches(path, with_methods):
+    """(module, function, expression) of each type branch in the module's
+    top-level functions, and in its classes' methods when ``with_methods``."""
+    tree = ast.parse(path.read_text())
+    fns = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    if with_methods:
+        fns += [
+            m for c in tree.body if isinstance(c, ast.ClassDef)
+            for m in c.body if isinstance(m, ast.FunctionDef)
+        ]
+    return {
+        (path.name, fn.name, ast.unparse(node))
+        for fn in fns for node in ast.walk(fn) if is_type_branch(node)
+    }
+
+
+def test_no_engine_or_measure_type_branch_outside_them():
+    src = pathlib.Path(kolmolab.__file__).resolve().parent
+    found = type_branches(src / "measures.py", False) | type_branches(
+        src / "runner.py", True
+    )
+    assert found - TYPE_BRANCHES_ALLOWED == set()
+
+
+def public_methods(cls):
+    return {n for n in dir(cls) if not n.startswith("_") and callable(getattr(cls, n))}
+
+
+# The Gaussian's closed-form helpers, which a cloud has no counterpart of:
+# its density, its sampler and the JSON export's payload.
+GAUSSIAN_ONLY = {"pdf", "sample", "as_dict"}
+
+
+def test_engines_and_measures_each_share_one_surface():
+    from kolmolab.engines import AnalyticOUEngine, MonteCarloEngine
+    from kolmolab.measures import EmpiricalMeasure
+    from kolmolab.ou import GaussianMeasure
+
+    assert public_methods(AnalyticOUEngine) == public_methods(MonteCarloEngine)
+    assert public_methods(GaussianMeasure) - GAUSSIAN_ONLY == public_methods(
+        EmpiricalMeasure
+    )

@@ -411,9 +411,10 @@ def test_engine_sizes_by_kind_and_keys(kind, sizes):
     keys = {"cloud": 100, "inner": 7, "outer": 9}
     engine = ctx.engine(ExperimentDecl(kind=kind, name=kind, params=keys))
     assert (engine.cloud_size, engine.n_inner, engine.n_outer) == (100, 7, 9)
-    assert tiny_context(TINY_OU).engine(
+    analytic = tiny_context(TINY_OU).engine(
         ExperimentDecl(kind=kind, name=kind, params=keys)
-    ).kind == "analytic"
+    )
+    assert isinstance(analytic, engines.AnalyticOUEngine)
 
 
 class ReadRecorder(dict):
@@ -445,7 +446,7 @@ end
 SMALL_CASES = {
     "audit": {},
     "simulate": {"spans": [0.2], "paths": 16},
-    "measure": {"times": [1.0], "export": "off"},
+    "measure": {"times": [1.0], "export": False},
     "invariance": {"spans": [0.5], "n": 2},
     "flow": {"n": 1},
     "lsi": {"p": [2.0], "n": 2},

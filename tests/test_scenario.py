@@ -212,6 +212,17 @@ def test_validate_experiments():
     e = verr("scenario a\n  catalog ou_const\n  experiment lsi\n    pp 3\n  end\nend\n")
     assert "unknown key(s) ['pp']" in str(e)
 
+    # export's spellings parse to a bool, and a declaration built in code
+    # must hold one
+    text = "scenario a\n  catalog ou_const\n  experiment measure\n    export {}\n  end\nend\n"
+    flags = [parse(text.format(v)).experiments[0].params for v in ("OFF", "1", "Yes")]
+    assert [p["export"] for p in flags] == [False, True, True]
+    assert "export takes one of" in str(err(text.format("maybe")))
+    exp = ExperimentDecl(kind="measure", name="measure", params={"export": "off"})
+    scn = Scenario(name="a", catalog="ou_const", experiments=(exp,))
+    with pytest.raises(ScenarioError, match="export must be a bool"):
+        validate_scenario(scn)
+
 
 def test_validate_returns_bundle():
     scn = parse("scenario a\n  catalog ou_periodic\n  kind ou\nend\n")
