@@ -16,6 +16,12 @@ Entries:
                         symmetric double well has an expanding direction at
                         the saddle and fails uniform dissipativity, so this
                         entry keeps a strictly dissipative profile).
+
+The two cubic entries are autonomous gradient drifts, b = -grad V with
+V = lin |y|^2 / 2 + cub sum_i y_i^4 / 4 and y = x - c, so their invariant law
+is proportional to e^{-V/q}, q = noise^2 / 2; they declare
+``gradient_drift``, and their Monte Carlo burn-ins take Leimkuhler-Matthews
+steps.  The OU entries keep Euler burn-ins.
 """
 
 from __future__ import annotations
@@ -163,6 +169,7 @@ def _cubic_family(name, p, center):
         r0=-lin,
         name=name,
         autonomous=True,
+        gradient_drift=True,
     )
     return ScenarioBundle(name=name, spec=spec, model=None, params=dict(p))
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import sde
 from .errors import DomainError
-from .measures import EmpiricalMeasure, burn_in_start, sample_mu
+from .measures import _BURN_IN_TOL, EmpiricalMeasure, burn_in_start, sample_mu
 from .memo import Memo
 from .model import reflect_time
 from .ou import GH_HALF_ORDER, estimate_omega0, evolution_measure, ou_apply_G
@@ -159,10 +159,6 @@ def _stream_seed(seed, stream, *times):
     return int(state[0])
 
 
-# Distance-to-equilibrium target of every burn-in (see measures.burn_in_start).
-_BURN_IN_TOL = 1e-3
-
-
 def _invariant_cloud(spec, tol, cfg):
     """The burn-in cloud of an autonomous spec's invariant measure.
 
@@ -206,7 +202,7 @@ class MonteCarloEngine:
         burn-in fits the interval, every t shares one cloud."""
         cfg = replace(self.cfg, n_paths=self.cloud_size, seed=seed)
         if self.spec.autonomous:
-            burn_in_start(self.spec, t, _BURN_IN_TOL)
+            burn_in_start(self.spec, t, _BURN_IN_TOL, cfg)
             return self.memo("clouds", _invariant_cloud, self.spec, _BURN_IN_TOL, cfg)
         return self.memo("clouds", sample_mu, self.spec, float(t), _BURN_IN_TOL, cfg)
 

@@ -11,12 +11,13 @@ and, for C^2 functions constant outside a compact set,
 For linear models the measures are the Gaussians N(g_t, Q_t) built in
 :mod:`kolmolab.ou`; for general dissipative drifts mu_t is approximated by
 the terminal cloud of a long mirrored-clock burn-in (the mixing time is read
-off the declared contraction rate r0).  The mirrored clock -- coefficients
-swept from t + span back down to t -- is the path picture of the evolution
-operator (see :mod:`kolmolab.sde`); for autonomous drifts it coincides with
-the familiar burn-in from the past.  The burn-in grid does not depend on t,
-so for an autonomous spec, whose mu_t is one invariant measure, every t
-gives the same cloud.
+off the declared contraction rate r0; an autonomous gradient drift burns in
+with the Leimkuhler-Matthews step at h = 5e-2, see ``burn_in_grid``).  The
+mirrored clock -- coefficients swept from t + span back down to t -- is the
+path picture of the evolution operator (see :mod:`kolmolab.sde`); for
+autonomous drifts it coincides with the familiar burn-in from the past.
+The burn-in grid does not depend on t, so for an autonomous spec, whose
+mu_t is one invariant measure, every t gives the same cloud.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "EmpiricalMeasure",
     "Defect",
     "GapReport",
+    "burn_in_grid",
     "burn_in_start",
     "sample_mu",
     "invariance_defect",
@@ -117,20 +119,40 @@ class Defect:
     rhs: float = math.nan
 
 
-def _burn_in_span(spec, tol):
-    """The mixing span log(10 / tol) / |r0| from the start x0 = 0."""
+# Distance-to-equilibrium target of every engine burn-in (see burn_in_start).
+_BURN_IN_TOL = 1e-3
+# Step of the Leimkuhler-Matthews burn-ins of autonomous gradient drifts.
+_LM_STEP = 5e-2
+
+
+def burn_in_grid(spec, tol, cfg):
+    """(span, cfg) of the burn-in from x0 = 0 that ``sample_mu`` runs.
+
+    The span is the mixing span log(10 / tol) / |r0|, simulated with cfg.
+    For an autonomous gradient drift (``spec.autonomous`` and
+    ``spec.gradient_drift``) under the Euler scheme, the burn-in takes
+    instead n = ceil(mixing span / h) whole Leimkuhler-Matthews steps of
+    h = max(cfg.dt, _LM_STEP), whose bias in equilibrium averages is
+    O(h^2) (see :mod:`kolmolab.sde`): the span is n h and cfg carries that
+    scheme and step.  A last step shorter than h would bias the cloud."""
     if spec.r0 >= 0.0:
         raise DomainError("burn-in needs a negative contraction rate r0")
-    return math.log(10.0 / tol) / abs(spec.r0)
+    span = math.log(10.0 / tol) / abs(spec.r0)
+    if not (spec.autonomous and spec.gradient_drift and cfg.scheme == "euler"):
+        return span, cfg
+    h = max(cfg.dt, _LM_STEP)
+    return math.ceil(span / h) * h, replace(
+        cfg, dt=h, scheme=sde.LEIMKUHLER_MATTHEWS
+    )
 
 
-def burn_in_start(spec, t, tol=1e-3):
-    """Start time s0 = t - log(10 / tol) / |r0| of a burn-in from x0 = 0.
+def burn_in_start(spec, t, tol=1e-3, cfg=None):
+    """Start time s0 = t - span of the burn-in from x0 = 0 (``burn_in_grid``).
 
     The contraction rate r0 turns the distance-to-equilibrium target ``tol``
     into a mixing span; raises HorizonError when s0 does not fit into the
     time interval."""
-    s0 = t - _burn_in_span(spec, tol)
+    s0 = t - burn_in_grid(spec, tol, cfg or sde.SimConfig())[0]
     if s0 <= spec.interval_start:
         raise HorizonError(
             f"burn-in start {s0:.4g} falls outside the interval "
@@ -142,21 +164,25 @@ def burn_in_start(spec, t, tol=1e-3):
 def sample_mu(spec, t, tol=1e-3, cfg=None):
     """Empirical surrogate of mu_t: terminal cloud of a burn-in simulation.
 
-    The burn-in runs ``reflect_time(spec, t)`` on the grid [-span, 0], so
-    the dynamics sweep the coefficient window [t, t + span] back toward t;
-    long mirrored runs forget their start and settle on the time-t member of
-    the evolution system (for autonomous drifts this is the plain burn-in).
-    The grid does not depend on t, so an autonomous spec gives the same
-    cloud, bit for bit, at every t whose burn-in start ``burn_in_start``
-    admits.
+    The burn-in runs ``reflect_time(spec, t)`` on the grid [-span, 0] of
+    ``burn_in_grid``, so the dynamics sweep the coefficient window
+    [t, t + span] back toward t; long mirrored runs forget their start and
+    settle on the time-t member of the evolution system (for autonomous
+    drifts this is the plain burn-in).  An autonomous gradient drift under
+    Euler burns in with Leimkuhler-Matthews steps; every other spec, and
+    every push-forward or replicate, keeps cfg's scheme and dt.  The grid
+    does not depend on t, so an autonomous spec gives the same cloud, bit
+    for bit, at every t whose burn-in start ``burn_in_start`` admits.
+    ``provenance`` records the scheme, the step ``dt`` and the number of
+    steps.
     """
-    s0 = burn_in_start(spec, t, tol)
-    x0 = np.zeros(spec.dim)
+    cfg = cfg or sde.SimConfig()
+    s0 = burn_in_start(spec, t, tol, cfg)
+    span, cfg = burn_in_grid(spec, tol, cfg)
     bundle = sde.simulate(
-        reflect_time(spec, t), -_burn_in_span(spec, tol), 0.0, x0, cfg,
+        reflect_time(spec, t), -span, 0.0, np.zeros(spec.dim), cfg,
         with_jacobians=False,
     )
-    cfg = bundle.cfg
     return EmpiricalMeasure(
         samples=bundle.states,
         t=float(t),
@@ -166,6 +192,7 @@ def sample_mu(spec, t, tol=1e-3, cfg=None):
             "seed": cfg.seed,
             "dt": cfg.dt,
             "scheme": cfg.scheme,
+            "steps": len(sde._time_grid(-span, 0.0, cfg.dt)) - 1,
             "n_paths": cfg.n_paths,
         },
     )

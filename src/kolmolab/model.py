@@ -166,7 +166,11 @@ class ProblemSpec:
     depend on x; only the builders of linear specs set it.  ``autonomous``
     declares that Q, b and jac_b do not depend on t, so that the evolution
     system is one invariant measure, mu_t = mu for every t; only the catalog
-    builders of time-independent entries set it.
+    builders of time-independent entries set it.  ``gradient_drift``
+    declares b = -Q grad U for a potential U, with Q constant, so that an
+    autonomous spec's invariant law is proportional to e^{-U}; only the
+    cubic family of the catalog sets it, and its burn-ins use the
+    Leimkuhler-Matthews step (see :func:`kolmolab.measures.burn_in_grid`).
     """
 
     dim: int
@@ -180,6 +184,7 @@ class ProblemSpec:
     name: str = ""
     affine_drift: bool = False
     autonomous: bool = False
+    gradient_drift: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -236,9 +241,9 @@ def reflect_time(spec, pivot):
     ``reflect_time(spec, s + t)`` over [s, t] produces exactly that sweep.
     For autonomous coefficients the reflected problem is the original one.
 
-    The declared constants, ``affine_drift`` and ``autonomous`` carry over
-    unchanged -- hypotheses (i), (ii) and (iv) only constrain the
-    coefficient values, not how the clock is read.
+    The declared constants, ``affine_drift``, ``autonomous`` and
+    ``gradient_drift`` carry over unchanged -- hypotheses (i), (ii) and (iv)
+    only constrain the coefficient values, not how the clock is read.
     The reflected spec has no left time endpoint; callers must keep the swept
     coefficient window ``pivot - [s, t]`` inside the original interval.
     """

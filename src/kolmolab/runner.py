@@ -47,6 +47,8 @@ from .ineq import (
 from .io import atomic_write_text
 from .memo import Memo
 from .measures import (
+    _BURN_IN_TOL,
+    burn_in_grid,
     export_measure_csv,
     export_measure_json,
     flow_derivative_defect,
@@ -64,6 +66,7 @@ from .scenario import validate_scenario
 # runner does not call simulate; perfbench's tracing tests reach the
 # simulator as runner.simulate
 from .sde import SimConfig, eps_dt, jacobian_certificate, simulate  # noqa: F401
+from .sde import LEIMKUHLER_MATTHEWS
 
 __all__ = ["RunContext", "ExperimentReport", "Report", "run_scenario", "write_report"]
 
@@ -653,6 +656,14 @@ def run_scenario(scn):
         # hits and misses of the run memo, per cache kind
         "memo": ctx.memo.counts(),
     }
+    span, burn = burn_in_grid(ctx.spec, _BURN_IN_TOL, cfg)
+    if burn.scheme == LEIMKUHLER_MATTHEWS:
+        # the Monte Carlo burn-ins do not run at the scenario's scheme and dt
+        metadata["burn_in"] = {
+            "scheme": burn.scheme,
+            "step": burn.dt,
+            "steps": round(span / burn.dt),
+        }
     return Report(
         scenario=scn.name,
         catalog=scn.catalog,

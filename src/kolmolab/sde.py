@@ -26,6 +26,18 @@ the plain flow; for time-dependent ones the distinction is exactly what
 makes the evaluated operator satisfy the invariance identity against the
 evolution system of measures.
 
+A third step, ``LEIMKUHLER_MATTHEWS``, is for equilibrium sampling only:
+
+    X' = X + h b(X) + (eta_k + eta_{k+1}) / 2,    eta_k = sigma sqrt(h) xi_k,
+
+which for an autonomous gradient drift has O(h^2) bias in equilibrium
+averages where Euler's is O(h) (Leimkuhler and Matthews, "Rational
+construction of stochastic numerical methods for molecular sampling", AMRX
+2013).  :func:`kolmolab.measures.sample_mu` uses it for such burn-ins; no
+scenario offers it.  A run of N steps draws N + 1 rows of normals, and step
+k averages the scaled rows k and k + 1.  It integrates no Jacobians and
+needs whole steps, with no shorter last one.
+
 Randomness: paths are partitioned into sub-blocks of ``BLOCK`` paths, sub-block
 b drawing from its own counter-based Philox stream keyed (seed, b), as in
 Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC 2011).
@@ -33,7 +45,8 @@ Only the sub-blocks that hold paths are drawn, so a run wastes at most
 BLOCK - 1 paths' noise per step.  The noise is drawn in chunks of steps into
 one buffer of about ``_NOISE_VALUES`` values, allocated once per call, so
 an ensemble's noise memory stays bounded however many paths or steps it
-has.  Every stream runs sequentially, so a path's noise is a pure function
+has.  Each chunk is scaled by sigma in place, in one pass.  Every stream
+runs sequentially, so a path's noise is a pure function
 of (seed, path index, step) -- independent of n_paths, the chunk length,
 or any parallel scheduling -- and reruns are bit-identical.
 """
@@ -52,6 +65,7 @@ from .ou import sqrtm_psd
 
 __all__ = [
     "BLOCK",
+    "LEIMKUHLER_MATTHEWS",
     "SimConfig",
     "PathBundle",
     "simulate",
@@ -66,7 +80,10 @@ __all__ = [
 BLOCK = 1024
 # Noise values held at once (8 MB): each chunk draws as many steps as fit.
 _NOISE_VALUES = 1 << 20
+# the schemes a scenario may choose
 _SCHEMES = ("euler", "semi_implicit_drift")
+# the equilibrium burn-in step (see the module docstring)
+LEIMKUHLER_MATTHEWS = "leimkuhler_matthews"
 
 
 @dataclass(frozen=True)
@@ -83,8 +100,9 @@ class SimConfig:
             raise DomainError("n_paths must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must be a nonnegative integer below 2**64")
-        if self.scheme not in _SCHEMES:
-            raise DomainError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
+        schemes = _SCHEMES + (LEIMKUHLER_MATTHEWS,)
+        if self.scheme not in schemes:
+            raise DomainError(f"scheme must be one of {schemes}, got {self.scheme!r}")
 
     def check_against(self, spec):
         if spec.r0 < 0.0 and self.dt * abs(spec.r0) >= 0.5:
@@ -147,6 +165,25 @@ def _checked_starts(spec, s, t, x, cfg):
     return starts
 
 
+def _drift(spec, tk, X, k):
+    """b(tk, X) at step k; non-finite coefficients raise BlowUpError."""
+    try:
+        return spec.drift(tk, X)
+    except EvaluationError as exc:
+        # mid-integration overflow of the coefficients is the numerical
+        # signature of an exploding trajectory
+        raise BlowUpError(
+            f"drift became non-finite by step {k} "
+            f"(t ~ {tk:.4g}); reduce dt or check the drift",
+            step=k,
+        ) from exc
+
+
+def _refuse_lm_jacobians(cfg, with_jacobians):
+    if with_jacobians and cfg.scheme == LEIMKUHLER_MATTHEWS:
+        raise DomainError("the Leimkuhler-Matthews step integrates no Jacobians")
+
+
 def _jacobian_step(J, L, h, A_step=None):
     """One step of dJ = L J dt, L = jac_b at the step's start: explicit
     Euler, or the linearly-implicit solve A_step J_new = J with
@@ -169,22 +206,38 @@ def simulate(spec, s, t, x, cfg=None, with_jacobians=True):
 
     times = _time_grid(s, t, cfg.dt)
     hs = np.diff(times)
-    # sigma(t) = sqrt(2 Q(t)) is state-independent: precompute per step,
-    # taking a new square root only where Q changes from the previous step.
-    sig = np.empty((len(hs), d, d))
+    n_steps = len(hs)
+    _refuse_lm_jacobians(cfg, with_jacobians)
+    lm = cfg.scheme == LEIMKUHLER_MATTHEWS
+    if lm and not math.isclose(hs[-1], cfg.dt, rel_tol=1e-9):
+        raise DomainError(
+            "the Leimkuhler-Matthews step needs whole steps: t - s = "
+            f"{t - s:.6g} is not a multiple of dt = {cfg.dt:.6g}"
+        )
+    # one row of normals per step, and one more for the LM step k, which
+    # averages the scaled rows k and k + 1 (the last row takes the last h)
+    n_rows = n_steps + lm
+    sqrt_h = np.sqrt(np.append(hs, hs[-1])[:n_rows])
+    # sigma(t) = sqrt(2 Q(t)) is state-independent: precompute per row,
+    # taking a new square root only where Q changes from the previous row.
+    sig = np.empty((n_rows, d, d))
     Q_prev = None
-    for k, tk in enumerate(times[:-1]):
+    for k, tk in enumerate(times[:n_rows]):
         Q = spec.diffusion(tk)
         if Q_prev is None or not np.array_equal(Q, Q_prev):
             root = sqrtm_psd(2.0 * Q)
             Q_prev = Q.copy()
         sig[k] = root
-    sqrt_h = np.sqrt(hs)
-    semi = cfg.scheme == "semi_implicit_drift"
+    # a diagonal sigma scales elementwise: the matmul's only nonzero term
     eye = np.eye(d)
+    diag = None
+    if not np.any(sig[:, eye == 0.0]):
+        diag = sig[:, eye == 1.0][:, None, :]  # (n_rows, 1, d)
+    sig_t = sig.transpose(0, 2, 1)
+    semi = cfg.scheme == "semi_implicit_drift"
 
-    n_steps = len(hs)
     n_sub = -(-n // BLOCK)
+    n_full = n // BLOCK
     # a uint64 key array: a list of Python ints above 2**63 would pass
     # through float64 and lose the seed's low bits
     rngs = [
@@ -193,51 +246,63 @@ def simulate(spec, s, t, x, cfg=None, with_jacobians=True):
         )
         for b in range(n_sub)
     ]
-    chunk = max(1, min(n_steps, _NOISE_VALUES // (n_sub * BLOCK * d)))
+    chunk = max(1, min(n_rows, _NOISE_VALUES // (n_sub * BLOCK * d)))
     buf = np.empty((n_sub, chunk, BLOCK, d))
     X = np.array(starts, dtype=float)
     J = np.broadcast_to(eye, (n, d, d)).copy() if with_jacobians else None
-    k = 0
-    while k < n_steps:
-        kc = min(chunk, n_steps - k)
+    # views of X by sub-block: the full ones and the partly used last one
+    X_full = X[: n_full * BLOCK].reshape(n_full, BLOCK, d)
+    X_rem = X[n_full * BLOCK :]
+    rem = n - n_full * BLOCK
+    prev = None
+    r = 0
+    while r < n_rows:
+        rc = min(chunk, n_rows - r)
         for b, rng in enumerate(rngs):
-            rng.standard_normal(out=buf[b, :kc])
-        for j in range(kc):
-            tk = times[k + j]
-            h = hs[k + j]
-            try:
-                drift = spec.drift(tk, X)
-            except EvaluationError as exc:
-                # mid-integration overflow of the coefficients is the
-                # numerical signature of an exploding trajectory
-                raise BlowUpError(
-                    f"drift became non-finite by step {k + j} "
-                    f"(t ~ {tk:.4g}); reduce dt or check the drift",
-                    step=k + j,
-                ) from exc
-            # the matmul reads the strided sub-blocks of step j directly;
-            # copying them out first is slower
-            noise = (buf[:, j] @ sig[k + j].T).reshape(-1, d)[:n] * sqrt_h[k + j]
+            rng.standard_normal(out=buf[b, :rc])
+        if diag is not None:
+            buf[:, :rc] *= diag[r : r + rc]
+        else:
+            np.matmul(buf[:, :rc], sig_t[r : r + rc], out=buf[:, :rc])
+        for j in range(rc):
+            row = buf[:, j]  # (n_sub, BLOCK, d), strided
+            row *= sqrt_h[r + j]
+            k = r + j - lm
+            if lm:
+                # a copy: the next chunk overwrites buf
+                cur = row.reshape(-1, d)[:n].copy()
+                if prev is not None:
+                    X += hs[k] * _drift(spec, times[k], X, k)
+                    X += 0.5 * (prev + cur)
+                prev = cur
+                continue
+            tk = times[k]
+            h = hs[k]
+            drift = _drift(spec, tk, X, k)
             L = spec.drift_jacobian(tk, X) if semi or with_jacobians else None
             A_step = eye - h * L if semi else None
             if with_jacobians:
                 J = _jacobian_step(J, L, h, A_step)
             if semi:
-                incr = np.linalg.solve(A_step, (h * drift + noise)[..., None])[
+                noise = row.reshape(-1, d)[:n]
+                X += np.linalg.solve(A_step, (h * drift + noise)[..., None])[
                     ..., 0
                 ]
-                X = X + incr
             else:
-                X = X + h * drift + noise
+                X += h * drift
+                # the noise goes in sub-block by sub-block, with no copy
+                X_full += row[:n_full]
+                if rem:
+                    X_rem += row[n_full, :rem]
         if not np.all(np.isfinite(X)):
-            bad_step = k + kc
+            bad_step = r + rc - lm
             raise BlowUpError(
                 f"path state became non-finite by step {bad_step} "
                 f"(t ~ {times[min(bad_step, len(times) - 1)]:.4g}); "
                 "reduce dt or check the drift",
                 step=bad_step,
             )
-        k += kc
+        r += rc
 
     return PathBundle(states=X, jacobians=J, s=float(s), t=float(t), cfg=cfg)
 
@@ -296,6 +361,7 @@ def jacobian_certificate(spec, s, t, x, cfg=None):
     count is then 0 or n_paths.  A non-finite J raises BlowUpError, as a
     non-finite state does in ``simulate``."""
     cfg = cfg or SimConfig()
+    _refuse_lm_jacobians(cfg, True)
     if not spec.affine_drift:
         return jacobian_bound_violations(spec, simulate(spec, s, t, x, cfg))
     row = _checked_starts(spec, s, t, x, cfg)[:1]

@@ -9,12 +9,13 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kolmolab
-from kolmolab import cli
+from kolmolab import cli, sde
 from kolmolab.ineq import CSV_COLUMNS
 from kolmolab.scenario import _EXPERIMENT_KEYS, EXPERIMENT_KINDS
 
@@ -120,6 +121,49 @@ def test_run_writes_reports(tmp_path, capsys):
         args = ["--set", "times=[1.0]", "--set", f"export={flag}"]
         assert cli.main(["measure", "ou_const", "--out", str(out), *args]) == 0
         assert (out / "ou_const" / "measure_t1.json").exists() == exported
+
+
+def test_summary_reports_the_burn_in_step(tmp_path, capsys):
+    # the cubic drift's burn-ins take Leimkuhler-Matthews steps of 5e-2, not
+    # the scenario's Euler steps of 2e-3; an OU run has no such entry
+    for text, name in ((TINY_MC, "cli_mc"), (TINY_OU, "cli_ou")):
+        scn = write_scn(tmp_path, text)
+        assert cli.main(["audit", str(scn), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / name / "summary.json").read_text())
+        expected = {"scheme": "leimkuhler_matthews", "step": 0.05, "steps": 185}
+        assert summary["metadata"].get("burn_in") == (expected if name == "cli_mc" else None)
+    capsys.readouterr()
+
+
+def test_leimkuhler_matthews_is_no_scenario_scheme(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sde, "simulate", None)  # no work may start
+    text = TINY_MC.replace("    seed 7\n", "    seed 7\n    scheme leimkuhler_matthews\n")
+    scn = write_scn(tmp_path, text)
+    assert cli.main(["run", str(scn), "--out", str(tmp_path / "o")]) == 2
+    assert "sim scheme must be one of" in capsys.readouterr().err
+
+
+def test_unstable_burn_in_step_ends_as_error_verdict(tmp_path, capsys, monkeypatch):
+    # h (lin + 3 cub y^2) is about 3 in the bulk of the law at h = 5e-2, so
+    # the explicit burn-in step blows up; the run reports it and goes on
+    monkeypatch.setenv("KOLMOLAB_THREADS", "1")  # errstate holds per thread
+    scn = write_scn(
+        tmp_path,
+        "scenario stiff\n  catalog cubic_dissipative\n  param cub 1000\n"
+        "  sim\n    dt 2e-3\n    paths 256\n  end\n"
+        "  experiment measure\n    times [1.0]\n    cloud 256\n  end\n"
+        "  experiment audit\n  end\nend\n",
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", str(scn), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in out + err
+    summary = json.loads((tmp_path / "o" / "stiff" / "summary.json").read_text())
+    verdicts = {e["name"]: (e["verdict"], e.get("error", "")) for e in summary["experiments"]}
+    assert verdicts["measure"][0] == "error"
+    assert verdicts["measure"][1].startswith("BlowUpError")
+    assert verdicts["audit"] == ("pass", "")
 
 
 def read_outputs(base):

@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from kolmolab import catalog, engines, functions, measures, sde
-from kolmolab.errors import DomainError, HorizonError
+from kolmolab.errors import BlowUpError, DomainError, HorizonError
 from kolmolab.model import build_lyapunov_gaussian, reflect_time
 from kolmolab.ou import GaussianMeasure, evolution_measure
 
@@ -102,6 +103,125 @@ def test_lyapunov_moment_bound(cubic_bundle):
     mu = measures.sample_mu(spec, 1.0, cfg=cfg)
     mean, se = mu.expectation(cert.phi)
     assert mean <= cert.a / cert.c + 3.0 * se + 0.05 * cert.a / cert.c
+
+
+# ----------------------------------------------------------------------
+# the Gibbs oracle: burn-ins of the cubic family against its exact law
+# ----------------------------------------------------------------------
+
+GIBBS_MOMENTS = (1, 2, 4)
+GIBBS_CFG = sde.SimConfig(dt=2e-3, n_paths=16384)
+
+
+def gibbs_moments(name):
+    """Exact E y^k, y = x - center, under the invariant law of a cubic-family
+    entry at its defaults: proportional to e^{-V/q}, with
+    V = lin y^2 / 2 + cub y^4 / 4 and q = noise^2 / 2."""
+    p = catalog.get(name).params
+    q = 0.5 * p["noise"] ** 2
+
+    def density(y):
+        return math.exp(-(p["lin"] * y * y / 2.0 + p["cub"] * y**4 / 4.0) / q)
+
+    mass = quad(density, -np.inf, np.inf)[0]
+    return {
+        k: quad(lambda y: y**k * density(y), -np.inf, np.inf)[0] / mass
+        for k in GIBBS_MOMENTS
+    }
+
+
+def cloud_moments(name, mu):
+    """{k: (mean, standard error)} of y^k over a cloud."""
+    y = mu.samples[:, 0] - catalog.get(name).params.get("center", 0.0)
+    return {
+        k: (float(np.mean(y**k)), float(np.std(y**k, ddof=1) / math.sqrt(len(y))))
+        for k in GIBBS_MOMENTS
+    }
+
+
+def pooled_second_moment_z(name, spec, cfg=GIBBS_CFG):
+    """(per-seed moments, z of the pooled E y^2 bias) over seeds 0-9 of
+    ``sample_mu(spec, 1.0, cfg=cfg)`` against the Gibbs law of ``name``."""
+    exact = gibbs_moments(name)
+    per_seed = [
+        cloud_moments(name, measures.sample_mu(spec, 1.0, cfg=replace(cfg, seed=seed)))
+        for seed in range(10)
+    ]
+    bias = np.mean([m[2][0] for m in per_seed]) - exact[2]
+    se = math.sqrt(sum(m[2][1] ** 2 for m in per_seed)) / len(per_seed)
+    return per_seed, bias / se
+
+
+@pytest.mark.parametrize("name", ["cubic_dissipative", "double_well_shifted"])
+def test_burn_in_clouds_match_the_gibbs_law(name):
+    exact = gibbs_moments(name)
+    per_seed, z = pooled_second_moment_z(name, catalog.get(name).spec)
+    for moments in per_seed:
+        for k in GIBBS_MOMENTS:
+            mean, se = moments[k]
+            assert abs(mean - exact[k]) <= 3.0 * se, (k, mean, exact[k])
+    assert abs(z) <= 3.0
+
+
+def test_gibbs_check_fails_on_euler_at_the_same_step():
+    # Euler's O(h) bias at h = 5e-2 (about +0.015 in E x^2) is far outside
+    # the pooled standard error the Leimkuhler-Matthews clouds meet
+    spec = replace(catalog.get("cubic_dissipative").spec, gradient_drift=False)
+    cfg = replace(GIBBS_CFG, dt=5e-2)
+    assert pooled_second_moment_z("cubic_dissipative", spec, cfg)[1] > 3.0
+
+
+def test_gibbs_check_fails_on_a_wrong_drift():
+    spec = catalog.get("cubic_dissipative", cub=1.2).spec
+    assert abs(pooled_second_moment_z("cubic_dissipative", spec)[1]) > 3.0
+
+
+def counting_drift(spec):
+    """``spec`` whose b counts its calls in the returned list."""
+    calls = []
+
+    def b(t, x):
+        calls.append(t)
+        return spec.b(t, x)
+
+    return replace(spec, b=b), calls
+
+
+def test_gradient_burn_in_takes_whole_leimkuhler_matthews_steps():
+    # log(1e4) = 9.21 time units: 185 steps of 5e-2, not 4606 of 2e-3
+    spec, calls = counting_drift(catalog.get("cubic_dissipative").spec)
+    mu = measures.sample_mu(spec, 1.0, cfg=GIBBS_CFG)
+    assert len(calls) == 185
+    assert {k: mu.provenance[k] for k in ("scheme", "dt", "steps")} == {
+        "scheme": sde.LEIMKUHLER_MATTHEWS, "dt": 5e-2, "steps": 185,
+    }
+    assert mu.provenance["s0"] == pytest.approx(1.0 - 185 * 5e-2)
+    # a coarser scenario step is kept, and the span stays whole steps
+    span, cfg = measures.burn_in_grid(spec, 1e-3, replace(GIBBS_CFG, dt=0.1))
+    assert (cfg.dt, round(span / cfg.dt)) == (0.1, 93)
+
+    euler, calls = counting_drift(replace(spec, gradient_drift=False))
+    mu = measures.sample_mu(euler, 1.0, cfg=replace(GIBBS_CFG, n_paths=16))
+    assert len(calls) == mu.provenance["steps"] == 4606
+    assert mu.provenance["scheme"] == "euler"
+
+
+@pytest.mark.parametrize(
+    "name, scheme",
+    [("ou_const", "euler"), ("cubic_dissipative", "semi_implicit_drift")],
+)
+def test_other_burn_ins_keep_the_scenario_scheme(name, scheme):
+    cfg = sde.SimConfig(dt=2e-2, n_paths=16, scheme=scheme)
+    mu = measures.sample_mu(catalog.get(name).spec, 1.0, cfg=cfg)
+    assert (mu.provenance["scheme"], mu.provenance["dt"]) == (scheme, 2e-2)
+
+
+def test_unstable_leimkuhler_matthews_burn_in_blows_up():
+    # h (lin + 3 cub y^2) is about 3 at the law's E y^2 = 0.021: the explicit
+    # step at h = 5e-2 is unstable in the bulk, though Euler at 2e-3 is not
+    spec = catalog.get("cubic_dissipative", cub=1000.0).spec
+    with pytest.raises(BlowUpError), np.errstate(over="ignore", invalid="ignore"):
+        measures.sample_mu(spec, 1.0, cfg=sde.SimConfig(dt=2e-3, n_paths=256))
 
 
 # ----------------------------------------------------------------------

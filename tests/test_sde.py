@@ -1,5 +1,6 @@
 """Path engine: determinism, closed-form moments, Jacobian transport."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -64,6 +65,75 @@ def test_different_seeds_differ(ou_const_bundle, fast_cfg):
             for k in (0, 1)
         )
         assert not np.array_equal(a.states, b.states)
+
+
+def time_dependent_noise_spec():
+    """A d = 2 OU drift whose non-diagonal Q(t) is piecewise constant."""
+
+    def Q(t):
+        level = 1.0 + 0.5 * math.floor(8.0 * t)
+        return np.array([[level, 0.3], [0.3, 0.8 * level]])
+
+    return ProblemSpec(
+        dim=2,
+        interval_start=-math.inf,
+        Q=Q,
+        b=lambda t, x: -x,
+        jac_b=lambda t, x: np.broadcast_to(-np.eye(2), (x.shape[0], 2, 2)),
+        eta0=0.1,
+        Lambda=10.0,
+        r0=-1.0,
+    )
+
+
+# (spec, t, start, cfg, with_jacobians) of runs from s = 0 whose states and
+# Jacobians are pinned by SHA-256; the d = 1 runs span three noise chunks,
+# the others end on a short last step
+PINNED_RUNS = {
+    "cubic_d1": (
+        lambda: catalog.get("cubic_dissipative").spec, 1.5, [0.3],
+        sde.SimConfig(dt=2e-3, n_paths=2 * sde.BLOCK + 5, seed=11), True,
+    ),
+    "cubic_d1_no_jacobians": (
+        lambda: catalog.get("cubic_dissipative").spec, 1.5, [0.3],
+        sde.SimConfig(dt=2e-3, n_paths=2 * sde.BLOCK + 5, seed=11), False,
+    ),
+    "cubic_d3": (
+        lambda: catalog.get("cubic_dissipative", dim=3).spec, 0.505,
+        [0.3, -0.2, 0.1], sde.SimConfig(dt=1e-2, n_paths=sde.BLOCK + 3, seed=12),
+        True,
+    ),
+    "time_dependent_q": (
+        time_dependent_noise_spec, 1.02, [0.5, -0.2],
+        sde.SimConfig(dt=0.05, n_paths=2 * sde.BLOCK + 5, seed=4), False,
+    ),
+    "semi_implicit": (
+        lambda: catalog.get("cubic_dissipative", dim=2).spec, 0.505, [0.3, -0.2],
+        sde.SimConfig(
+            dt=1e-2, n_paths=sde.BLOCK + 5, seed=13, scheme="semi_implicit_drift"
+        ),
+        True,
+    ),
+}
+PINNED_DIGESTS = {
+    "cubic_d1": "8169c801f587e29dab4c8b49a2dc89986da2fa67bffa15e423b97f14fc5b3e57",
+    "cubic_d1_no_jacobians": "3ee43f68d6d3b608a78b44113e7b9b4d4c2181d3d5882c20d2b09cb592c374d0",
+    "cubic_d3": "7a262272ab8a984f8971322783e088349f55f75d460146bda7adc21f2e5333fb",
+    "time_dependent_q": "8aa17084926c6b4b2072878ee9f6cd636902534cd50059f02fc8690c5df4268a",
+    "semi_implicit": "dccdd738a2bbcfc220393e18534f1ca951c6622bf9a4c68ecf8cd3755d1a988e",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_euler_and_semi_implicit_bits_are_pinned(name):
+    # the digests of the per-step matmul loop that the chunk-wise scaling
+    # replaced: reordering the noise arithmetic must not move a bit
+    make_spec, t, x, cfg, with_jacobians = PINNED_RUNS[name]
+    bundle = sde.simulate(make_spec(), 0.0, t, np.array(x), cfg, with_jacobians)
+    digest = hashlib.sha256(bundle.states.tobytes())
+    if with_jacobians:
+        digest.update(bundle.jacobians.tobytes())
+    assert digest.hexdigest() == PINNED_DIGESTS[name]
 
 
 # ----------------------------------------------------------------------
@@ -352,20 +422,7 @@ def test_mirrored_flow_equals_plain_flow_for_autonomous(cubic_bundle, fast_cfg):
 def test_time_dependent_noise_matches_per_step_square_roots(monkeypatch):
     # Q(t) is piecewise constant, so simulate reuses sqrt(2 Q) across runs of
     # equal steps; the reference below takes the square root on every step
-    def Q(t):
-        level = 1.0 + 0.5 * math.floor(8.0 * t)
-        return np.array([[level, 0.3], [0.3, 0.8 * level]])
-
-    spec = ProblemSpec(
-        dim=2,
-        interval_start=-math.inf,
-        Q=Q,
-        b=lambda t, x: -x,
-        jac_b=lambda t, x: np.broadcast_to(-np.eye(2), (x.shape[0], 2, 2)),
-        eta0=0.1,
-        Lambda=10.0,
-        r0=-1.0,
-    )
+    spec = time_dependent_noise_spec()
     cfg = sde.SimConfig(dt=0.05, n_paths=2 * sde.BLOCK + 5, seed=4)
     roots = []
     monkeypatch.setattr(
@@ -390,3 +447,57 @@ def test_time_dependent_noise_matches_per_step_square_roots(monkeypatch):
         sig = sqrtm_psd(2.0 * spec.diffusion(tk))
         X = X + h * spec.drift(tk, X) + (Z[k] @ sig.T) * np.sqrt(h)
     assert np.array_equal(got.states, X)
+
+
+# ----------------------------------------------------------------------
+# the Leimkuhler-Matthews step
+# ----------------------------------------------------------------------
+
+LM = sde.LEIMKUHLER_MATTHEWS
+
+
+@pytest.mark.parametrize("n_paths", [5, 2 * sde.BLOCK + 5])
+@pytest.mark.parametrize("noise_values", [None, 1])
+def test_leimkuhler_matthews_averages_adjacent_rows(n_paths, noise_values, monkeypatch):
+    # N steps draw N + 1 rows of the (seed, path, step) layout, and step k
+    # adds the mean of the scaled rows k and k + 1; a noise budget of one
+    # value makes every row a chunk of its own
+    if noise_values is not None:
+        monkeypatch.setattr(sde, "_NOISE_VALUES", noise_values)
+    spec = catalog.get("cubic_dissipative").spec
+    cfg = sde.SimConfig(dt=0.05, n_paths=n_paths, seed=8, scheme=LM)
+    got = sde.simulate(spec, -1.0, 0.0, np.zeros(1), cfg, with_jacobians=False)
+
+    times = sde._time_grid(-1.0, 0.0, cfg.dt)
+    hs = np.diff(times)
+    n_steps = len(hs)
+    assert n_steps == 20
+    n_sub = -(-n_paths // sde.BLOCK)
+    Z = np.concatenate(
+        [
+            np.random.Generator(np.random.Philox(key=[cfg.seed, b])).standard_normal(
+                (n_steps + 1, sde.BLOCK, 1)
+            )
+            for b in range(n_sub)
+        ],
+        axis=1,
+    )[:, :n_paths]
+    sig = sqrtm_psd(2.0 * spec.diffusion(0.0))
+    # the last row takes the last step's h
+    eta = (Z @ sig.T) * np.sqrt(np.append(hs, hs[-1]))[:, None, None]
+    X = np.zeros((n_paths, 1))
+    for k in range(n_steps):
+        X = X + hs[k] * spec.drift(times[k], X) + 0.5 * (eta[k] + eta[k + 1])
+    assert np.array_equal(got.states, X)
+
+
+def test_leimkuhler_matthews_refuses_jacobians_and_short_steps():
+    spec = catalog.get("cubic_dissipative").spec
+    cfg = sde.SimConfig(dt=0.05, n_paths=16, scheme=LM)
+    with pytest.raises(DomainError, match="Jacobians"):
+        sde.simulate(spec, 0.0, 1.0, np.zeros(1), cfg)
+    with pytest.raises(DomainError, match="whole steps"):
+        sde.simulate(spec, 0.0, 1.01, np.zeros(1), cfg, with_jacobians=False)
+    ou_spec = catalog.get("ou_const").spec
+    with pytest.raises(DomainError, match="Jacobians"):
+        sde.jacobian_certificate(ou_spec, 0.0, 1.0, np.zeros(1), cfg)
