@@ -6,8 +6,9 @@ The inequality suites only need a tiny surface:
 * ``outer_points(mu)``                 -- (points, quadrature weights or None),
 * ``apply_G_at(s, t, f, xs)``          -- (values, variance of each value),
 * ``grad_G_at(s, t, f, xs)``           -- (gradients, variance per component),
-* ``cloud(t, stream)``, ``push(mu, s, t)`` -- mu_t from a stream, and mu
-  carried by G(t, s), whose ``expectation(f)`` is (int G(t,s)f dmu, tol),
+* ``cloud(t, stream)``, ``push(mu, s, ts)`` -- mu_t from a stream, and mu
+  carried by G(t, s) to each end time t of ts, a measure per t whose
+  ``expectation(f)`` is (int G(t,s)f dmu, tol),
 * ``memo``                             -- a :class:`~kolmolab.memo.Memo`,
 * ``spec``                             -- the :class:`~kolmolab.model.ProblemSpec`,
 * its declared constants ``eta0, Lambda, r0`` and decay's defaults
@@ -24,7 +25,8 @@ model, and every stream of mu_t is its exact ``measure(t)``.
 ``MonteCarloEngine`` propagates clouds with the path simulator, using
 ``n_inner`` replicate paths per evaluation point.  Its ``cloud(t, stream)``
 is a burn-in of ``cloud_size`` paths, and its ``push`` moves one path per
-point; every seed is derived from ``cfg.seed`` and a stream tag.
+point, in one run to the last end time for an autonomous spec; every seed
+is derived from ``cfg.seed`` and a stream tag.
 Through its memo (a run's, when given one) the analytic engine computes its
 omega fit, measures and kernel moments once per key, the Monte Carlo engine
 its burn-in clouds once per (t, size, seed) -- once per (size, seed) for an
@@ -105,20 +107,23 @@ class AnalyticOUEngine:
         """mu_t: a Gaussian is exact, so every stream gets the same one."""
         return self.measure(t)
 
-    def push(self, mu, s, t):
-        """mu carried by G(t, s): ``expectation(f)`` is mu's rule applied to
-        ``ou_apply_G``, with the gap (at least 1e-9) to the kernel rule of
-        ``ou.GH_HALF_ORDER`` as its tolerance."""
+    def push(self, mu, s, ts):
+        """mu carried by G(t, s) for each t of ts: ``expectation(f)`` is mu's
+        rule applied to ``ou_apply_G``, with the gap (at least 1e-9) to the
+        kernel rule of ``ou.GH_HALF_ORDER`` as its tolerance."""
         pts, w = mu.rule()
 
-        def expectation(f):
-            full = float(w @ ou_apply_G(self.model, t, s, f, pts, memo=self.memo))
-            half = float(
-                w @ ou_apply_G(self.model, t, s, f, pts, GH_HALF_ORDER, self.memo)
-            )
-            return full, max(1e-9, abs(full - half))
+        def pushed(t):
+            def expectation(f):
+                full = float(w @ ou_apply_G(self.model, t, s, f, pts, memo=self.memo))
+                half = float(
+                    w @ ou_apply_G(self.model, t, s, f, pts, GH_HALF_ORDER, self.memo)
+                )
+                return full, max(1e-9, abs(full - half))
 
-        return SimpleNamespace(expectation=expectation)
+            return SimpleNamespace(expectation=expectation)
+
+        return [pushed(t) for t in ts]
 
     def outer_points(self, mu):
         return mu.rule()
@@ -213,15 +218,27 @@ class MonteCarloEngine:
         autonomous spec a stream gives one cloud at every t."""
         return self._burn_in(t, _stream_seed(self.cfg.seed, stream))
 
-    def push(self, mu, s, t):
-        """The cloud ``mu`` carried from s to t, one path per point, by the
-        kernel of G(t, s): the mirrored-clock flow."""
-        seed = _stream_seed(self.cfg.seed, "push")
-        bundle = sde.simulate(
-            reflect_time(self.spec, s + t), s, t, mu.samples,
-            replace(self.cfg, n_paths=mu.n, seed=seed), with_jacobians=False,
+    def push(self, mu, s, ts):
+        """The cloud ``mu`` carried from s to each t of ts, one path per
+        point, by the kernel of G(t, s): the mirrored-clock flow.
+
+        The push seed does not depend on t, and an autonomous spec's
+        mirrored clock reads no time, so there one run to the last t gives
+        every t (``sde.simulate``'s ``ends``); otherwise each t, whose clock
+        is mirrored about s + t, gets a run of its own."""
+        cfg = replace(
+            self.cfg, n_paths=mu.n, seed=_stream_seed(self.cfg.seed, "push")
         )
-        return EmpiricalMeasure(samples=bundle.states)
+        runs = [list(ts)] if self.spec.autonomous else [[t] for t in ts]
+        pushed = {}
+        for ends in runs:
+            t = max(ends)
+            run = sde.simulate(
+                reflect_time(self.spec, s + t), s, t, mu.samples, cfg,
+                with_jacobians=False, ends=ends,
+            )
+            pushed.update((u, EmpiricalMeasure(samples=run.at(u).states)) for u in ends)
+        return [pushed[t] for t in ts]
 
     def measure(self, t):
         key = round(float(t), 12)

@@ -190,35 +190,42 @@ def smooth_plateau(r1=2.0, r2=4.0, center=0.0, dim=1, height=1.0):
         raise ValueError("need r1 < r2")
 
     def _parts(x):
+        """y = x - c, r = |y|, the points with r1 < r < r2, and the
+        quintic's argument u = (r - r1) / width on them.  The squares of y
+        are summed left to right, the order of ``np.linalg.norm``."""
         y = x - c
-        r = np.linalg.norm(y, axis=-1)
-        u = np.clip((r - r1) / width, 0.0, 1.0)
+        sq = y[..., 0] * y[..., 0]
+        for k in range(1, dim):
+            sq = sq + y[..., k] * y[..., k]
+        r = np.sqrt(sq)
         active = (r > r1) & (r < r2)
-        return y, r, u, active
+        return y, r, active, (r[active] - r1) / width
 
     def value(x):
-        _, _, u, _ = _parts(x)
-        return height * _quintic(u)
+        _, r, active, u = _parts(x)
+        v = np.where(r <= r1, height, 0.0)
+        v[active] = height * _quintic(u)
+        return v
 
     def gradient(x):
-        y, r, u, active = _parts(x)
+        y, r, active, u = _parts(x)
         g = np.zeros_like(x)
         if np.any(active):
             ra = r[active]
-            coeff = height * _quintic_d1(u[active]) / width
+            coeff = height * _quintic_d1(u) / width
             g[active] = coeff[:, None] * (y[active] / ra[:, None])
         return g
 
     def hessian(x):
-        y, r, u, active = _parts(x)
+        y, r, active, u = _parts(x)
         H = np.zeros((x.shape[0], dim, dim))
         if np.any(active):
             ra = r[active][:, None, None]
             unit = y[active] / r[active][:, None]
             outer = unit[:, :, None] * unit[:, None, :]
             eye = np.eye(dim)[None, :, :]
-            d1 = (height * _quintic_d1(u[active]) / width)[:, None, None]
-            d2 = (height * _quintic_d2(u[active]) / width**2)[:, None, None]
+            d1 = (height * _quintic_d1(u) / width)[:, None, None]
+            d2 = (height * _quintic_d2(u) / width**2)[:, None, None]
             H[active] = d2 * outer + (d1 / ra) * (eye - outer)
         return H
 

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import sde
-from .errors import DomainError, HorizonError
+from .errors import BlowUpError, DomainError, HorizonError
 from .functions import bounded_test_family
 from .io import atomic_write_text
 from .model import apply_generator, reflect_time
@@ -125,6 +125,14 @@ _BURN_IN_TOL = 1e-3
 _LM_STEP = 5e-2
 
 
+def _mixing_span(spec, tol):
+    """log(10 / tol) / |r0|: the span after which the burn-in from x0 = 0
+    is within tol of equilibrium."""
+    if spec.r0 >= 0.0:
+        raise DomainError("burn-in needs a negative contraction rate r0")
+    return math.log(10.0 / tol) / abs(spec.r0)
+
+
 def burn_in_grid(spec, tol, cfg):
     """(span, cfg) of the burn-in from x0 = 0 that ``sample_mu`` runs.
 
@@ -134,16 +142,19 @@ def burn_in_grid(spec, tol, cfg):
     instead n = ceil(mixing span / h) whole Leimkuhler-Matthews steps of
     h = max(cfg.dt, _LM_STEP), whose bias in equilibrium averages is
     O(h^2) (see :mod:`kolmolab.sde`): the span is n h and cfg carries that
-    scheme and step.  A last step shorter than h would bias the cloud."""
-    if spec.r0 >= 0.0:
-        raise DomainError("burn-in needs a negative contraction rate r0")
-    span = math.log(10.0 / tol) / abs(spec.r0)
+    scheme and step.  A last step shorter than h would bias the cloud.  An
+    h that ``SimConfig.check_against`` refuses for the spec's r0 keeps
+    cfg."""
+    span = _mixing_span(spec, tol)
     if not (spec.autonomous and spec.gradient_drift and cfg.scheme == "euler"):
         return span, cfg
     h = max(cfg.dt, _LM_STEP)
-    return math.ceil(span / h) * h, replace(
-        cfg, dt=h, scheme=sde.LEIMKUHLER_MATTHEWS
-    )
+    lm = replace(cfg, dt=h, scheme=sde.LEIMKUHLER_MATTHEWS)
+    try:
+        lm.check_against(spec)
+    except DomainError:
+        return span, cfg
+    return math.ceil(span / h) * h, lm
 
 
 def burn_in_start(spec, t, tol=1e-3, cfg=None):
@@ -170,50 +181,72 @@ def sample_mu(spec, t, tol=1e-3, cfg=None):
     settle on the time-t member of the evolution system (for autonomous
     drifts this is the plain burn-in).  An autonomous gradient drift under
     Euler burns in with Leimkuhler-Matthews steps; every other spec, and
-    every push-forward or replicate, keeps cfg's scheme and dt.  The grid
-    does not depend on t, so an autonomous spec gives the same cloud, bit
-    for bit, at every t whose burn-in start ``burn_in_start`` admits.
-    ``provenance`` records the scheme, the step ``dt`` and the number of
-    steps.
+    every push-forward or replicate, keeps cfg's scheme and dt.  A
+    Leimkuhler-Matthews burn-in that blows up (its explicit step of 5e-2 is
+    unstable in the bulk of a stiff law) is rerun with cfg's Euler scheme
+    and dt over the mixing span.  The grid does not depend on t, so an
+    autonomous spec gives the same cloud, bit for bit, at every t whose
+    burn-in start ``burn_in_start`` admits.  ``provenance`` records the
+    scheme that ran, its step ``dt`` and its number of steps.
     """
     cfg = cfg or sde.SimConfig()
-    s0 = burn_in_start(spec, t, tol, cfg)
-    span, cfg = burn_in_grid(spec, tol, cfg)
-    bundle = sde.simulate(
-        reflect_time(spec, t), -span, 0.0, np.zeros(spec.dim), cfg,
-        with_jacobians=False,
-    )
+    burn_in_start(spec, t, tol, cfg)
+    span, run_cfg = burn_in_grid(spec, tol, cfg)
+    mirrored = reflect_time(spec, t)
+    try:
+        # an overflow here ends in BlowUpError, which has its answer below
+        with np.errstate(over="ignore", invalid="ignore"):
+            bundle = sde.simulate(
+                mirrored, -span, 0.0, np.zeros(spec.dim), run_cfg,
+                with_jacobians=False,
+            )
+    except BlowUpError:
+        if run_cfg.scheme != sde.LEIMKUHLER_MATTHEWS:
+            raise
+        span, run_cfg = _mixing_span(spec, tol), cfg
+        bundle = sde.simulate(
+            mirrored, -span, 0.0, np.zeros(spec.dim), cfg, with_jacobians=False
+        )
     return EmpiricalMeasure(
         samples=bundle.states,
         t=float(t),
         provenance={
-            "s0": s0,
+            "s0": t - span,
             "tol": tol,
-            "seed": cfg.seed,
-            "dt": cfg.dt,
-            "scheme": cfg.scheme,
-            "steps": len(sde._time_grid(-span, 0.0, cfg.dt)) - 1,
-            "n_paths": cfg.n_paths,
+            "seed": run_cfg.seed,
+            "dt": run_cfg.dt,
+            "scheme": run_cfg.scheme,
+            "steps": len(sde._time_grid(-span, 0.0, run_cfg.dt)) - 1,
+            "n_paths": run_cfg.n_paths,
         },
     )
 
 
 def invariance_defect(engine, s, t, fns, mu_s=None, mu_t=None):
     """| int G(t,s) f d mu_t - int f d mu_s | with its tolerance, one
-    :class:`Defect` per function in ``fns``.
+    :class:`Defect` per function in ``fns``; ``t`` is one end time for all
+    of them, or one end time per function.
 
-    The left side averages f over ``engine.push(mu_t, s, t)``, shared by
-    all functions, the right side over mu_s.  Missing measures are
-    ``engine.cloud(t)`` and ``engine.cloud(s, "mu_s")``, which on the Monte
-    Carlo engine are independent burn-in streams.
+    The left side averages f over mu_t carried to t by ``engine.push``.
+    Functions with one t share its push-forward, and the end times whose
+    mu_t is one cloud are pushed by one call: on the Monte Carlo engine an
+    autonomous spec's ``cloud(t)`` is one cloud for every t, so one run
+    serves every t.  The right side averages f over mu_s.  Missing measures
+    are ``engine.cloud(t)`` and ``engine.cloud(s, "mu_s")``, which on the
+    Monte Carlo engine are independent burn-in streams.
     """
-    if t <= s:
+    ts = [float(u) for u in np.broadcast_to(t, len(fns))]
+    if any(u <= s for u in ts):
         raise DomainError(f"need s < t, got s={s}, t={t}")
-    pushed = engine.push(mu_t or engine.cloud(t), s, t)
+    clouds = {u: mu_t or engine.cloud(u) for u in ts}
+    pushed = {}
+    for mu in {id(c): c for c in clouds.values()}.values():
+        ends = [u for u, c in clouds.items() if c is mu]
+        pushed.update(zip(ends, engine.push(mu, s, ends)))
     mu_s = mu_s or engine.cloud(s, "mu_s")
     defects = []
-    for f in fns:
-        lhs, e_l = pushed.expectation(f)
+    for f, u in zip(fns, ts):
+        lhs, e_l = pushed[u].expectation(f)
         rhs, e_r = mu_s.expectation(f)
         defects.append(
             Defect(

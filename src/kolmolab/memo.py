@@ -41,7 +41,7 @@ def _freeze(value):
 class Memo:
     """``memo(kind, fn, *args)`` is ``fn(*args)``, computed once per key.
 
-    The key is ``(fn, args)`` itself: it holds the function and argument
+    The key is ``(kind, fn, args)`` itself: it holds the function and argument
     objects rather than their ids, so a later object cannot reuse an id and
     collide with a stored key.  Arguments must be hashable; frozen
     dataclasses such as models, specs and test functions are."""
@@ -54,7 +54,7 @@ class Memo:
         self._misses = Counter()
 
     def __call__(self, kind, fn, *args):
-        key = (fn, args)
+        key = (kind, fn, args)
         with self._guard:
             lock = self._locks.setdefault(key, threading.Lock())
         with lock:
@@ -69,6 +69,11 @@ class Memo:
         with self._guard:
             tally[kind] += 1
         return value
+
+    def values(self, kind):
+        """The results stored under ``kind`` so far."""
+        with self._guard:
+            return [v for key, v in self._values.items() if key[0] == kind]
 
     def counts(self):
         """{kind: {"hits": n, "misses": n}} for every kind in :data:`KINDS`."""

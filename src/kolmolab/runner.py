@@ -219,11 +219,10 @@ def _run_simulate(ctx, exp):
     spans = _times(exp.params, "spans", [0.5, 1.0])
     n_paths = int(exp.params.get("paths", ctx.cfg.n_paths))
     cfg = replace(ctx.cfg, n_paths=n_paths)
-    x0 = np.zeros(ctx.dim)
+    ts = [s + span for span in spans]
+    certificates = jacobian_certificate(ctx.spec, s, ts, np.zeros(ctx.dim), cfg)
     rows = []
-    for span in spans:
-        t = s + span
-        viol, bound, worst = jacobian_certificate(ctx.spec, s, t, x0, cfg)
+    for t, (viol, bound, worst) in zip(ts, certificates):
         rows.append(
             _row(ctx, "jacobian_violations", viol, 0.0, viol == 0, s=s, t=t)
         )
@@ -276,15 +275,13 @@ def _run_invariance(ctx, exp):
     n_cases = int(exp.params.get("n", 10))
     fns = fb.bounded_test_family(ctx.dim)
     cases = [(fns[k % len(fns)], spans[k % len(spans)]) for k in range(n_cases)]
-    # one call per distinct span: cases that share it share the push-forward
-    defects = {}
-    for span in dict.fromkeys(span for _, span in cases):
-        ks = [k for k, (_, sp) in enumerate(cases) if sp == span]
-        ds = invariance_defect(engine, s0, s0 + span, [cases[k][0] for k in ks])
-        defects.update(zip(ks, ds))
+    # one call: cases that share a span share its push-forward, and an
+    # autonomous Monte Carlo spec pushes every span in one run
+    defects = invariance_defect(
+        engine, s0, [s0 + span for _, span in cases], [f for f, _ in cases]
+    )
     rows = []
-    for k, (f, span) in enumerate(cases):
-        d = defects[k]
+    for k, ((f, span), d) in enumerate(zip(cases, defects)):
         tol = max(3.0 * d.tolerance, 1e-9)
         rows.append(
             _row(
@@ -658,12 +655,18 @@ def run_scenario(scn):
     }
     span, burn = burn_in_grid(ctx.spec, _BURN_IN_TOL, cfg)
     if burn.scheme == LEIMKUHLER_MATTHEWS:
-        # the Monte Carlo burn-ins do not run at the scenario's scheme and dt
+        # the Monte Carlo burn-ins do not run at the scenario's scheme and
+        # dt, except those that blew up and were rerun at them
         metadata["burn_in"] = {
             "scheme": burn.scheme,
             "step": burn.dt,
             "steps": round(span / burn.dt),
         }
+        reruns = sum(
+            mu.provenance["scheme"] != burn.scheme for mu in ctx.memo.values("clouds")
+        )
+        if reruns:
+            metadata["burn_in"]["euler_reruns"] = reruns
     return Report(
         scenario=scn.name,
         catalog=scn.catalog,

@@ -38,6 +38,18 @@ scenario offers it.  A run of N steps draws N + 1 rows of normals, and step
 k averages the scaled rows k and k + 1.  It integrates no Jacobians and
 needs whole steps, with no shorter last one.
 
+One run serves several end times.  Every path's noise at step k is fixed
+by (seed, path, k) (see below), and the time grid of a run to u is s +
+dt * arange(...) closed by u, so when that grid is a prefix of the grid to
+t -- u lies on t's grid, bit for bit -- the first steps of the run to t are
+the run to u, states and Jacobians alike, whether the paths share a start
+or not.  ``simulate``'s ``ends`` reads the ensemble off at such times and
+gives any other end time (one that needs a short last step, or any end of
+a Leimkuhler-Matthews run, whose last step draws one row more) a run of its
+own, so every bundle it returns equals a separate run bit for bit.  A run
+checks its states up to t: a path that blows up after an earlier end time
+still raises BlowUpError, as the run to t alone would.
+
 Randomness: paths are partitioned into sub-blocks of ``BLOCK`` paths, sub-block
 b drawing from its own counter-based Philox stream keyed (seed, b), as in
 Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC 2011).
@@ -54,7 +66,7 @@ or any parallel scheduling -- and reruns are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -121,10 +133,18 @@ class PathBundle:
     s: float
     t: float
     cfg: SimConfig
+    # the bundles at the run's other end times (``simulate``'s ``ends``)
+    earlier: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_paths(self):
         return self.states.shape[0]
+
+    def at(self, t):
+        """The ensemble at end time t: this bundle at its own t, else the
+        one its run gave for t among ``simulate``'s ``ends``."""
+        t = float(t)
+        return self if t == self.t else self.earlier[t]
 
 
 def _time_grid(s, t, dt):
@@ -193,11 +213,15 @@ def _jacobian_step(J, L, h, A_step=None):
     return J + h * np.einsum("nij,njk->nik", L, J)
 
 
-def simulate(spec, s, t, x, cfg=None, with_jacobians=True):
+def simulate(spec, s, t, x, cfg=None, with_jacobians=True, ends=()):
     """Run cfg.n_paths paths of the flow from x at time s to time t.
 
     ``x`` is a single starting point (d,) shared by all paths, or an
-    (n_paths, d) array of per-path starting points.
+    (n_paths, d) array of per-path starting points.  ``ends`` are further
+    end times in (s, t]: ``bundle.at(u)`` is then the ensemble at u, equal
+    bit for bit to ``simulate(spec, s, u, x, cfg, with_jacobians)``.  It is
+    read off this run when u's time grid is a prefix of t's, and is a run of
+    its own otherwise (see the module docstring).
     """
     cfg = cfg or SimConfig()
     starts = _checked_starts(spec, s, t, x, cfg)
@@ -214,6 +238,18 @@ def simulate(spec, s, t, x, cfg=None, with_jacobians=True):
             "the Leimkuhler-Matthews step needs whole steps: t - s = "
             f"{t - s:.6g} is not a multiple of dt = {cfg.dt:.6g}"
         )
+    # the ends read off this run, by step count, and those run on their own
+    stops, off_grid = {}, []
+    for u in dict.fromkeys(map(float, ends)):
+        if not s < u <= t:
+            raise DomainError(f"end times must lie in (s, t], got {u} for s={s}, t={t}")
+        grid = _time_grid(s, u, cfg.dt)
+        if not lm and np.array_equal(grid, times[: len(grid)]):
+            stops[len(grid) - 1] = u
+        else:
+            off_grid.append(u)
+    stops.pop(n_steps, None)  # t itself is the run's own bundle
+    snaps = {}
     # one row of normals per step, and one more for the LM step k, which
     # averages the scaled rows k and k + 1 (the last row takes the last h)
     n_rows = n_steps + lm
@@ -294,6 +330,9 @@ def simulate(spec, s, t, x, cfg=None, with_jacobians=True):
                 X_full += row[:n_full]
                 if rem:
                     X_rem += row[n_full, :rem]
+            if k + 1 in stops:
+                # X moves in place; each step binds J to a new array
+                snaps[stops[k + 1]] = (X.copy(), J)
         if not np.all(np.isfinite(X)):
             bad_step = r + rc - lm
             raise BlowUpError(
@@ -304,7 +343,15 @@ def simulate(spec, s, t, x, cfg=None, with_jacobians=True):
             )
         r += rc
 
-    return PathBundle(states=X, jacobians=J, s=float(s), t=float(t), cfg=cfg)
+    earlier = {
+        u: PathBundle(states=Xu, jacobians=Ju, s=float(s), t=u, cfg=cfg)
+        for u, (Xu, Ju) in snaps.items()
+    }
+    for u in off_grid:
+        earlier[u] = simulate(spec, s, u, x, cfg, with_jacobians)
+    return PathBundle(
+        states=X, jacobians=J, s=float(s), t=float(t), cfg=cfg, earlier=earlier
+    )
 
 
 def jacobian_norms(bundle):
@@ -350,20 +397,27 @@ def _bound_violations(spec, dt, span, norms):
     return int(np.sum(norms > bound)), bound, float(np.max(norms))
 
 
-def jacobian_certificate(spec, s, t, x, cfg=None):
+def jacobian_certificate(spec, s, ts, x, cfg=None):
     """(violations, bound, worst_norm) of ||J(t)|| <= exp((r0 + eps_dt)(t-s))
-    over cfg.n_paths paths from x at time s, as
-    ``jacobian_bound_violations(spec, simulate(spec, s, t, x, cfg))``.
+    over cfg.n_paths paths from x at time s, for each end time t of ``ts``,
+    as ``jacobian_bound_violations(spec, simulate(spec, s, t, x, cfg))``.
 
+    One run to the last t serves every t, through ``simulate``'s ``ends``.
     For a spec with ``affine_drift``, jac_b does not depend on the state, so
-    every path carries the same Jacobian: it is integrated once, on one row,
-    by ``simulate``'s own step, and no state or noise is simulated.  The
+    every path carries the same Jacobian: it is integrated once per t, on one
+    row, by ``simulate``'s own step, and no state or noise is simulated.  The
     count is then 0 or n_paths.  A non-finite J raises BlowUpError, as a
     non-finite state does in ``simulate``."""
     cfg = cfg or SimConfig()
     _refuse_lm_jacobians(cfg, True)
     if not spec.affine_drift:
-        return jacobian_bound_violations(spec, simulate(spec, s, t, x, cfg))
+        run = simulate(spec, s, max(ts), x, cfg, ends=ts)
+        return [jacobian_bound_violations(spec, run.at(t)) for t in ts]
+    return [_affine_certificate(spec, s, t, x, cfg) for t in ts]
+
+
+def _affine_certificate(spec, s, t, x, cfg):
+    """``jacobian_certificate`` at one t for an affine drift."""
     row = _checked_starts(spec, s, t, x, cfg)[:1]
     times = _time_grid(s, t, cfg.dt)
     semi = cfg.scheme == "semi_implicit_drift"

@@ -145,12 +145,13 @@ def test_leimkuhler_matthews_is_no_scenario_scheme(tmp_path, capsys, monkeypatch
 
 def test_unstable_burn_in_step_ends_as_error_verdict(tmp_path, capsys, monkeypatch):
     # h (lin + 3 cub y^2) is about 3 in the bulk of the law at h = 5e-2, so
-    # the explicit burn-in step blows up; the run reports it and goes on
+    # the explicit burn-in step blows up, and so does the Euler rerun at the
+    # scenario's dt of 5e-2; the run reports it and goes on
     monkeypatch.setenv("KOLMOLAB_THREADS", "1")  # errstate holds per thread
     scn = write_scn(
         tmp_path,
         "scenario stiff\n  catalog cubic_dissipative\n  param cub 1000\n"
-        "  sim\n    dt 2e-3\n    paths 256\n  end\n"
+        "  sim\n    dt 5e-2\n    paths 256\n  end\n"
         "  experiment measure\n    times [1.0]\n    cloud 256\n  end\n"
         "  experiment audit\n  end\nend\n",
     )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kolmolab import catalog, engines, functions, measures, sde
+from kolmolab import catalog, cli, engines, functions, measures, sde
 from kolmolab.errors import BlowUpError, DomainError, HorizonError
 from kolmolab.model import build_lyapunov_gaussian, reflect_time
 from kolmolab.ou import GaussianMeasure, evolution_measure
@@ -113,11 +113,11 @@ GIBBS_MOMENTS = (1, 2, 4)
 GIBBS_CFG = sde.SimConfig(dt=2e-3, n_paths=16384)
 
 
-def gibbs_moments(name):
+def gibbs_moments(name, **params):
     """Exact E y^k, y = x - center, under the invariant law of a cubic-family
-    entry at its defaults: proportional to e^{-V/q}, with
+    entry at its defaults, or at ``params``: proportional to e^{-V/q}, with
     V = lin y^2 / 2 + cub y^4 / 4 and q = noise^2 / 2."""
-    p = catalog.get(name).params
+    p = catalog.get(name, **params).params
     q = 0.5 * p["noise"] ** 2
 
     def density(y):
@@ -218,10 +218,57 @@ def test_other_burn_ins_keep_the_scenario_scheme(name, scheme):
 
 def test_unstable_leimkuhler_matthews_burn_in_blows_up():
     # h (lin + 3 cub y^2) is about 3 at the law's E y^2 = 0.021: the explicit
-    # step at h = 5e-2 is unstable in the bulk, though Euler at 2e-3 is not
+    # step at h = 5e-2 is unstable in the bulk, and so is the Euler rerun at
+    # a scenario step of 5e-2
     spec = catalog.get("cubic_dissipative", cub=1000.0).spec
     with pytest.raises(BlowUpError), np.errstate(over="ignore", invalid="ignore"):
-        measures.sample_mu(spec, 1.0, cfg=sde.SimConfig(dt=2e-3, n_paths=256))
+        measures.sample_mu(spec, 1.0, cfg=sde.SimConfig(dt=5e-2, n_paths=256))
+
+
+STIFF = """\
+scenario stiff
+  catalog cubic_dissipative
+  param {param} {value}
+  sim
+    dt 2e-3
+    paths 1024
+  end
+  experiment measure
+    times [1.0]
+    cloud 1024
+  end
+end
+"""
+
+
+@pytest.mark.parametrize("param, value, reruns", [("lin", 12.0, None), ("cub", 1000.0, 1)])
+def test_refused_or_unstable_leimkuhler_matthews_step_falls_back_to_euler(
+    param, value, reruns, tmp_path, capsys
+):
+    # lin 12 declares r0 = -12, so check_against refuses h = 5e-2
+    # (h |r0| = 0.6); at cub 1000 the step of 5e-2 blows up in the bulk.
+    # Both burn in with Euler at the scenario's dt, pass, and sample the
+    # Gibbs law; only the blown-up burn-in is recorded as a rerun
+    path = tmp_path / "stiff.scn"
+    path.write_text(STIFF.format(param=param, value=value))
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    base = tmp_path / "stiff"
+    summary = json.loads((base / "summary.json").read_text())
+    assert [e["verdict"] for e in summary["experiments"]] == ["pass"]
+    burn_in = summary["metadata"].get("burn_in")
+    assert (burn_in and burn_in["euler_reruns"]) == reruns
+    cloud = measures.EmpiricalMeasure(
+        samples=np.loadtxt(base / "measure_t1.csv", delimiter=",", skiprows=1)[:, None]
+    )
+    assert cloud.n == 1024
+    exact = gibbs_moments("cubic_dissipative", **{param: value})
+    mean, se = cloud_moments("cubic_dissipative", cloud)[2]
+    assert abs(mean - exact[2]) <= 3.0 * se, (mean, exact[2], se)
+    spec = catalog.get("cubic_dissipative", **{param: value}).spec
+    mu = measures.sample_mu(spec, 1.0, cfg=sde.SimConfig(dt=2e-3, n_paths=16))
+    assert (mu.provenance["scheme"], mu.provenance["dt"]) == ("euler", 2e-3)
+    assert mu.provenance["s0"] == pytest.approx(1.0 - math.log(1e4) / abs(spec.r0))
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +404,8 @@ def test_measure_and_push_streams_are_pinned(cubic_bundle):
         ),
         with_jacobians=False,
     )
-    assert np.array_equal(engine.push(mu, 0.5, 1.0).samples, pushed.states)
+    pushed_by_engine, = engine.push(mu, 0.5, [1.0])
+    assert np.array_equal(pushed_by_engine.samples, pushed.states)
 
 
 def test_every_stream_of_a_run_is_distinct(cubic_bundle, monkeypatch):
@@ -371,7 +419,7 @@ def test_every_stream_of_a_run_is_distinct(cubic_bundle, monkeypatch):
         seeds.append(cfg.seed)
         return measures.EmpiricalMeasure(samples=np.zeros((cfg.n_paths, 1)), t=t)
 
-    def paths(spec, s, t, x, cfg, with_jacobians):
+    def paths(spec, s, t, x, cfg, with_jacobians, ends=()):
         seeds.append(cfg.seed)
         n = cfg.n_paths
         return sde.PathBundle(np.zeros((n, 1)), np.ones((n, 1, 1)), s, t, cfg)
@@ -387,7 +435,7 @@ def test_every_stream_of_a_run_is_distinct(cubic_bundle, monkeypatch):
             engine.measure(t)
         for stream in ("mu_t", "mu_s", "flow_mid"):
             engine.cloud(0.0, stream)
-        engine.push(engine.cloud(0.0), 0.0, 0.5)
+        engine.push(engine.cloud(0.0), 0.0, [0.5])
         for s, t in ((0.0, 0.5), (1e-4, 0.5), (0.0, 0.5 + 1e-4), (0.0, 1.5), (1e-3, 0.5)):
             engine.apply_G_at(s, t, f, xs)
             engine.grad_G_at(s, t, f, xs)

@@ -399,6 +399,63 @@ def test_ridge_helper_matches_the_closures_it_replaced(dim):
             assert np.array_equal(built(xs), old(xs))
 
 
+def _closure_smooth_plateau(r1, r2, c, height):
+    """smooth_plateau's value, gradient and Hessian as first written: the
+    quintic on the clipped argument at every point, and np.linalg.norm."""
+    q = functions._quintic
+    q1, q2 = functions._quintic_d1, functions._quintic_d2
+    width = r2 - r1
+
+    def parts(x):
+        y = x - c
+        r = np.linalg.norm(y, axis=-1)
+        u = np.clip((r - r1) / width, 0.0, 1.0)
+        return y, r, u, (r > r1) & (r < r2)
+
+    def value(x):
+        return height * q(parts(x)[2])
+
+    def gradient(x):
+        y, r, u, a = parts(x)
+        g = np.zeros_like(x)
+        g[a] = (height * q1(u[a]) / width)[:, None] * (y[a] / r[a][:, None])
+        return g
+
+    def hessian(x):
+        y, r, u, a = parts(x)
+        dim = x.shape[1]
+        H = np.zeros((x.shape[0], dim, dim))
+        unit = y[a] / r[a][:, None]
+        outer = unit[:, :, None] * unit[:, None, :]
+        d1 = (height * q1(u[a]) / width)[:, None, None]
+        d2 = (height * q2(u[a]) / width**2)[:, None, None]
+        H[a] = d2 * outer + (d1 / r[a][:, None, None]) * (np.eye(dim) - outer)
+        return H
+
+    return value, gradient, hessian
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_plateau_matches_the_formula_it_replaced(dim):
+    # bit for bit, on random points, on points at exactly r1 and r2 from
+    # the centre, and at the centre itself
+    rng = np.random.default_rng(7)
+    for r1, r2, c, height in [
+        (1.0, 2.0, np.zeros(dim), 1.0),
+        (0.5, 1.5, 0.5 * np.ones(dim) / np.sqrt(dim), 1.4),
+        (1.5, 3.0, -np.ones(dim) / np.sqrt(dim), 1.0),
+    ]:
+        xs = c + np.concatenate([
+            rng.normal(scale=1.5, size=(200, dim)),
+            r1 * np.eye(dim), -r2 * np.eye(dim), np.zeros((1, dim)),
+        ])
+        f = functions.smooth_plateau(r1, r2, c, dim, height)
+        for built, old in zip(
+            (f.value, f.gradient, f.hessian), _closure_smooth_plateau(r1, r2, c, height)
+        ):
+            assert np.array_equal(built(xs), old(xs))
+
+
 def _every_battery_member():
     for dim in (1, 2, 3):
         yield from functions.bounded_test_family(dim)

@@ -129,19 +129,28 @@ def test_burn_in_runs_once_per_distinct_key(monkeypatch):
     assert len(calls) == len(set(calls)) == 3
 
 
-def test_invariance_pushes_forward_once_per_span(monkeypatch):
-    calls = []
-    real = runner.invariance_defect
+def test_invariance_pushes_every_span_in_one_run(monkeypatch):
+    # one invariance_defect call for all cases, and the autonomous cubic's
+    # pushes of its one mu_t cloud to both spans are one run to the last
+    calls, runs = [], []
+    real, real_simulate = runner.invariance_defect, sde.simulate
 
     def defect(engine, s, t, fns, **kw):
-        calls.append((s, t, len(fns)))
+        calls.append((s, tuple(t), len(fns)))
         return real(engine, s, t, fns, **kw)
 
+    def simulate(spec, s, t, x, cfg=None, with_jacobians=True, ends=()):
+        runs.append((s, t, tuple(ends)))
+        return real_simulate(spec, s, t, x, cfg, with_jacobians, ends)
+
     monkeypatch.setattr(runner, "invariance_defect", defect)
+    monkeypatch.setattr(sde, "simulate", simulate)
     ctx = tiny_context()
     exp = next(e for e in ctx.scn.experiments if e.kind == "invariance")
     rows = runner._run_invariance(ctx, exp)
-    assert calls == [(0.0, 0.5, 2), (0.0, 1.0, 2)]
+    assert calls == [(0.0, (0.5, 1.0, 0.5, 1.0), 4)]
+    # the burn-ins of the clouds start before 0
+    assert [r for r in runs if r[0] == 0.0] == [(0.0, 1.0, (0.5, 1.0))]
     # rows keep the declared case order: spans alternate
     assert [r.t for r in rows] == [0.5, 1.0, 0.5, 1.0]
     assert [r.verdict for r in rows] == ["pass"] * 4
@@ -163,21 +172,23 @@ end
 """
 
 
-@pytest.mark.parametrize("catalog, runs", [("cubic_dissipative", 2), ("ou_const", 0)])
+@pytest.mark.parametrize("catalog, runs", [("cubic_dissipative", 1), ("ou_const", 0)])
 def test_simulate_runs_paths_only_for_state_dependent_jacobians(
     monkeypatch, catalog, runs
 ):
+    # both spans of a state-dependent Jacobian are read off one run to the
+    # last; a linear drift's certificates simulate no path
     calls = []
     real = sde.simulate
 
-    def simulate(spec, s, t, x, cfg=None, with_jacobians=True):
-        calls.append((s, t))
-        return real(spec, s, t, x, cfg, with_jacobians)
+    def simulate(spec, s, t, x, cfg=None, with_jacobians=True, ends=()):
+        calls.append((s, t, tuple(ends)))
+        return real(spec, s, t, x, cfg, with_jacobians, ends)
 
     monkeypatch.setattr(sde, "simulate", simulate)
     ctx = tiny_context(SIMULATE.format(catalog=catalog, dt=2e-2, spans="[0.5, 1.0]"))
     rows = runner._run_simulate(ctx, ctx.scn.experiments[0])
-    assert calls == [(0.0, 0.5), (0.0, 1.0)][:runs]
+    assert calls == [(0.0, 1.0, (0.5, 1.0))][:runs]
     assert [r.verdict for r in rows] == ["pass", "info", "info"] * 2
 
 

@@ -287,7 +287,7 @@ def test_jacobian_certificate_equals_the_simulated_one(name, scheme, monkeypatch
         for s, t in spans
     ]
     monkeypatch.setattr(sde, "simulate", None)  # no path may be simulated
-    assert [sde.jacobian_certificate(spec, s, t, x, cfg) for s, t in spans] == full
+    assert [sde.jacobian_certificate(spec, s, [t], x, cfg)[0] for s, t in spans] == full
     expected = cfg.n_paths if name == "overclaimed_r0" else 0
     assert [v for v, _, _ in full] == [expected, expected]
 
@@ -408,6 +408,90 @@ def test_blow_up_reported_with_step():
     assert err.value.step == 8
 
 
+# End times of one run at dt 2e-2 from 0 to 0.5: 0.1, 0.3 and 0.48 lie on its
+# grid, 0.25 and 0.45 need a short last step of their own.
+ON_GRID, OFF_GRID = (0.3, 0.1, 0.48), (0.25, 0.45)
+
+
+def recording_simulate(monkeypatch):
+    """Route sde.simulate through a recorder of each run's (s, t)."""
+    runs = []
+    real = sde.simulate
+
+    def simulate(spec, s, t, x, cfg=None, with_jacobians=True, ends=()):
+        runs.append((s, t))
+        return real(spec, s, t, x, cfg, with_jacobians, ends)
+
+    monkeypatch.setattr(sde, "simulate", simulate)
+    return runs, real
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("with_jacobians", [True, False])
+@pytest.mark.parametrize("scheme", sde._SCHEMES)
+def test_each_end_time_equals_a_separate_run(scheme, with_jacobians, dim, monkeypatch):
+    # one run to 0.5 gives the ensemble at every end time, bit for bit as a
+    # run to that time alone: read off the run on the grid, run on its own
+    # off it; for one path, one partly used sub-block and one path past it,
+    # from a shared start and from per-path starts
+    spec = catalog.get("cubic_dissipative", dim=dim).spec
+    ends = ON_GRID + OFF_GRID + (0.5,)
+    runs, real = recording_simulate(monkeypatch)
+    for n in (1, sde.BLOCK - 1, sde.BLOCK + 1):
+        cfg = sde.SimConfig(dt=2e-2, n_paths=n, seed=n, scheme=scheme)
+        per_path = np.random.default_rng(n).normal(size=(n, dim))
+        for x in (np.full(dim, 0.3), per_path):
+            runs.clear()
+            run = sde.simulate(spec, 0.0, 0.5, x, cfg, with_jacobians, ends=ends)
+            assert runs == [(0.0, 0.5)] + [(0.0, u) for u in OFF_GRID]
+            for u in ends:
+                alone = real(spec, 0.0, u, x, cfg, with_jacobians)
+                got = run.at(u)
+                assert (got.s, got.t, got.cfg) == (alone.s, alone.t, alone.cfg)
+                assert np.array_equal(got.states, alone.states)
+                if with_jacobians:
+                    assert np.array_equal(got.jacobians, alone.jacobians)
+                else:
+                    assert got.jacobians is None and alone.jacobians is None
+
+
+def test_end_times_with_time_dependent_noise_and_leimkuhler_matthews(monkeypatch):
+    # the prefix holds for a clock-reading, non-diagonal Q; a
+    # Leimkuhler-Matthews run reads no end off its grid, since its last step
+    # averages one row more
+    runs, real = recording_simulate(monkeypatch)
+    spec = time_dependent_noise_spec()
+    cfg = sde.SimConfig(dt=0.05, n_paths=sde.BLOCK + 5, seed=4)
+    x = np.array([0.5, -0.2])
+    run = sde.simulate(spec, 0.0, 1.02, x, cfg, ends=[0.5, 0.73])
+    assert runs == [(0.0, 1.02), (0.0, 0.73)]
+    for u in (0.5, 0.73):
+        alone = real(spec, 0.0, u, x, cfg)
+        assert np.array_equal(run.at(u).states, alone.states)
+        assert np.array_equal(run.at(u).jacobians, alone.jacobians)
+    lm = sde.SimConfig(dt=0.05, n_paths=16, seed=2, scheme=LM)
+    cubic = catalog.get("cubic_dissipative").spec
+    runs.clear()
+    run = sde.simulate(cubic, 0.0, 1.0, np.zeros(1), lm, False, ends=[0.5])
+    assert runs == [(0.0, 1.0), (0.0, 0.5)]
+    alone = real(cubic, 0.0, 0.5, np.zeros(1), lm, False)
+    assert np.array_equal(run.at(0.5).states, alone.states)
+
+
+def test_end_times_are_checked_and_a_blow_up_still_raises():
+    spec = catalog.get("cubic_dissipative").spec
+    cfg = sde.SimConfig(dt=0.05, n_paths=16, seed=0)
+    for u in (0.0, -0.5, 2.5):
+        with pytest.raises(DomainError, match="end times"):
+            sde.simulate(spec, 0.0, 2.0, np.zeros(1), cfg, ends=[u])
+    # x' = x^3 from 3 overflows within 8 steps of 0.05, before the first end
+    explosive = replace(
+        spec, b=lambda t, x: x**3, jac_b=lambda t, x: (3.0 * x**2)[..., None]
+    )
+    with pytest.raises(BlowUpError), np.errstate(over="ignore", invalid="ignore"):
+        sde.simulate(explosive, 0.0, 2.0, np.array([3.0]), cfg, ends=[0.5, 1.0])
+
+
 def test_mirrored_flow_equals_plain_flow_for_autonomous(cubic_bundle, fast_cfg):
     # for time-independent coefficients the mirrored-clock ensemble is the
     # plain one: same states, bit for bit
@@ -500,4 +584,4 @@ def test_leimkuhler_matthews_refuses_jacobians_and_short_steps():
         sde.simulate(spec, 0.0, 1.01, np.zeros(1), cfg, with_jacobians=False)
     ou_spec = catalog.get("ou_const").spec
     with pytest.raises(DomainError, match="Jacobians"):
-        sde.jacobian_certificate(ou_spec, 0.0, 1.0, np.zeros(1), cfg)
+        sde.jacobian_certificate(ou_spec, 0.0, [1.0], np.zeros(1), cfg)
