@@ -110,7 +110,9 @@ class AnalyticOUEngine:
     def push(self, mu, s, ts):
         """mu carried by G(t, s) for each t of ts: ``expectation(f)`` is mu's
         rule applied to ``ou_apply_G``, with the gap (at least 1e-9) to the
-        kernel rule of ``ou.GH_HALF_ORDER`` as its tolerance."""
+        kernel rule of ``ou.GH_HALF_ORDER`` as its tolerance.  A Gaussian bump
+        in d >= 2 is applied in closed form, the same at both orders, so its
+        tolerance is the 1e-9 floor."""
         pts, w = mu.rule()
 
         def pushed(t):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import FunctionMeta, RidgeSum, RidgeTerm, TestFunction
+from .model import BumpTerm, FunctionMeta, RidgeSum, RidgeTerm, TestFunction
 
 __all__ = [
     "constant",
@@ -142,23 +142,29 @@ def sin_ridge(w, b=0.0, dim=None):
 
 
 def gaussian_bump(center=0.0, width=1.0, dim=None):
+    """exp(-|x - c|^2 / (2 width^2)), declared as a one-term :class:`RidgeSum`
+    (a :class:`BumpTerm`); a scalar centre stands for c = center * (1, ..., 1)."""
     c = np.atleast_1d(np.asarray(center, dtype=float))
     dim = c.shape[0] if dim is None else dim
     w2 = float(width) ** 2
 
-    def value(x):
+    def _parts(x):
+        """y = x - c and the bump's value, computed once per call."""
         y = x - c
-        return np.exp(-0.5 * np.einsum("ni,ni->n", y, y) / w2)
+        return y, np.exp(-0.5 * np.einsum("ni,ni->n", y, y) / w2)
+
+    def value(x):
+        return _parts(x)[1]
 
     def gradient(x):
-        y = x - c
-        return -(y / w2) * value(x)[:, None]
+        y, v = _parts(x)
+        return -(y / w2) * v[:, None]
 
     def hessian(x):
-        y = x - c
+        y, v = _parts(x)
         eye = np.eye(dim)
         H = (y[:, :, None] * y[:, None, :]) / w2**2 - eye[None, :, :] / w2
-        return H * value(x)[:, None, None]
+        return H * v[:, None, None]
 
     return TestFunction(
         dim=dim,
@@ -166,6 +172,7 @@ def gaussian_bump(center=0.0, width=1.0, dim=None):
         gradient=gradient,
         hessian=hessian,
         meta=FunctionMeta(bounded=True, name=f"bump({c[0]:g},{float(width):g})"),
+        ridges=RidgeSum(0.0, (BumpTerm(1.0, np.broadcast_to(c, (dim,)), w2),)),
     )
 
 

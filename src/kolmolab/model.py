@@ -46,6 +46,7 @@ from .errors import (
 __all__ = [
     "FunctionMeta",
     "RidgeTerm",
+    "BumpTerm",
     "RidgeSum",
     "TestFunction",
     "ProblemSpec",
@@ -106,8 +107,18 @@ class RidgeTerm(NamedTuple):
     dphi: Callable[[np.ndarray], np.ndarray]
 
 
+class BumpTerm(NamedTuple):
+    """One term a * exp(-|x - c|^2 / (2 w2)) of a sum: a Gaussian bump of
+    centre ``c`` (shape (d,)) and squared width ``w2``."""
+
+    a: float
+    c: np.ndarray
+    w2: float
+
+
 class RidgeSum(NamedTuple):
-    """f(x) = const + sum of the terms' a * phi(<w, x> + b)."""
+    """f(x) = const + sum of the terms: ridges (:class:`RidgeTerm`) and
+    Gaussian bumps (:class:`BumpTerm`)."""
 
     const: float
     terms: tuple
@@ -120,10 +131,11 @@ class TestFunction:
     ``value``    : (n, d) -> (n,)
     ``gradient`` : (n, d) -> (n, d)
     ``hessian``  : (n, d) -> (n, d, d), or None for merely-C^1 functions.
-    ``ridges``   : the same function as a :class:`RidgeSum`, when it is one;
-                   quadratures may then integrate each term in one dimension.
-                   It takes no part in eq or hash, since functions are memo
-                   keys and it holds arrays.
+    ``ridges``   : the same function as a :class:`RidgeSum` of ridges and
+                   Gaussian bumps, when it is one; a Gaussian kernel may then
+                   integrate each ridge in one dimension and each bump in
+                   closed form.  It takes no part in eq or hash, since
+                   functions are memo keys and it holds arrays.
     """
 
     dim: int

@@ -48,10 +48,13 @@ Gaussian expectations use tensorized Gauss-Hermite quadrature of order
 to order ``GH_HALF_ORDER`` = 32.  Rules are pruned to the nodes of weight at
 least 1e-20: the dropped nodes hold at most 3e-19 of the unit mass for d <= 2
 and 2e-17 for d = 3, and at d = 2, order 64, 1600 of the 4096 nodes remain.
-A test function that declares itself a sum of ridges c + sum a phi(<w, x> + b)
-(``TestFunction.ridges``) sees the kernel's Gaussian only through the scalars
-<w, Z>, so in d >= 2 ``ou_apply_G`` integrates each ridge by a
-one-dimensional rule instead: 94 nodes per point in place of 1600 at d = 2.
+A test function may declare itself a sum (``TestFunction.ridges``) of ridges
+a phi(<w, x> + b) and Gaussian bumps a exp(-|x - c|^2 / (2 w^2)); in d >= 2
+``ou_apply_G`` then applies G(t, s) term by term with no tensor rule.  A
+ridge sees the kernel's Gaussian only through the scalar <w, Z>, so it is
+integrated by a one-dimensional rule: 94 nodes per point in place of 1600 at
+d = 2.  A bump's image is again a Gaussian in x (the Gaussian product rule),
+computed in closed form from the kernel moments (M, m, C).
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from .errors import (
     StiffnessError,
 )
 from .memo import fresh
-from .model import ProblemSpec, as_batch
+from .model import BumpTerm, ProblemSpec, as_batch
 
 __all__ = [
     "GaussianMeasure",
@@ -590,17 +593,43 @@ def _point_chunks(n, offsets):
 _RIDGE_ORDER_FACTOR = 4
 
 
-def _ridge_apply_G(M, m, C, ridges, xb, order, grad):
+def _bump_apply_G(M, m, C, term, xb, grad):
+    """(G(t, s) f)(x), or its gradient, for the bump f = a exp(-|y - c|^2 /
+    (2 w2)) in closed form (the Gaussian product rule): with
+    delta = M x + m - c and S = w2 I + C,
+
+        (G f)(x) = a (w2^d / det S)^(1/2) exp(-delta^T S^-1 delta / 2),
+        grad (G f)(x) = -M^T S^-1 delta (G f)(x).
+
+    Every sum is an einsum over one point's coordinates, so a point's value
+    does not depend on the batch it comes in."""
+    d = M.shape[0]
+    S = term.w2 * np.eye(d) + C
+    S_inv = np.linalg.inv(S)
+    delta = np.einsum("ij,nj->ni", M, xb) + (m - term.c)
+    value = term.a * math.sqrt(term.w2**d / np.linalg.det(S)) * np.exp(
+        -0.5 * np.einsum("ni,ij,nj->n", delta, S_inv, delta)
+    )
+    if grad:
+        return -np.einsum("ni,ij,jk->nk", delta, S_inv, M) * value[:, None]
+    return value
+
+
+def _sum_apply_G(M, m, C, ridges, xb, order, grad):
     """(G(t, s) f)(x), or its gradient, for f = ``ridges`` and the kernel
-    moments (M, m, C), one term at a time: a term a phi(<w, y> + b) maps x
-    to a E[phi(u + sqrt(w^T C w) N(0, 1))], u = <x, M^T w> + <m, w> + b,
-    and its gradient is a E[phi'(...)] M^T w.
+    moments (M, m, C), one term at a time.  A bump term is applied in closed
+    form (:func:`_bump_apply_G`).  A ridge term a phi(<w, y> + b) maps x to
+    a E[phi(u + sqrt(w^T C w) N(0, 1))], u = <x, M^T w> + <m, w> + b, and
+    its gradient is a E[phi'(...)] M^T w.
 
     The rule is summed node by node over all points at once, so a point's
     value does not depend on the batch it comes in."""
     z, w = gauss_hermite_rule(1, _RIDGE_ORDER_FACTOR * order)
     out = np.zeros(xb.shape) if grad else np.full(xb.shape[0], ridges.const)
     for term in ridges.terms:
+        if isinstance(term, BumpTerm):
+            out += _bump_apply_G(M, m, C, term, xb, grad)
+            continue
         direction = M.T @ term.w
         u = xb @ direction + (m @ term.w + term.b)
         scale = math.sqrt(2.0 * max(term.w @ C @ term.w, 0.0))
@@ -623,10 +652,11 @@ def ou_apply_G(model, t, s, f, x, order=GH_ORDER, memo=fresh, grad=False):
     computes it.
 
     The expectation is the tensor Gauss-Hermite rule of ``order`` per axis,
-    except for a function that declares itself a sum of ridges
-    (``f.ridges``) in d >= 2: each ridge is integrated by a one-dimensional
-    rule of order 4 * ``order`` (see :func:`_ridge_apply_G`).
-    In d = 1 the tensor rule is already one-dimensional and is kept.
+    except for a function that declares itself a sum of ridges and bumps
+    (``f.ridges``) in d >= 2 (see :func:`_sum_apply_G`): each ridge is
+    integrated by a one-dimensional rule of order 4 * ``order``, and each
+    bump is applied in closed form, whatever the ``order``.  In d = 1 the
+    tensor rule is already one-dimensional and is kept for both.
     """
     if t < s:
         raise DomainError(f"need t >= s, got t={t} < s={s}")
@@ -638,7 +668,7 @@ def ou_apply_G(model, t, s, f, x, order=GH_ORDER, memo=fresh, grad=False):
         return out[0] if single else out
     if f.ridges is not None and model.dim > 1:
         M, m, C = memo("kernels", _mehler_moments, model, t, s)
-        out = _ridge_apply_G(M, m, C, f.ridges, xb, order, grad)
+        out = _sum_apply_G(M, m, C, f.ridges, xb, order, grad)
         return out[0] if single else out
     M, m, offsets, w = memo("kernels", _kernel_offsets, model, t, s, order, memo)
     centers = xb @ M.T + m  # (n, d)

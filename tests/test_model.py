@@ -435,6 +435,44 @@ def _closure_smooth_plateau(r1, r2, c, height):
     return value, gradient, hessian
 
 
+def _closure_gaussian_bump(c, width, dim):
+    """gaussian_bump's value, gradient and Hessian as first written: the
+    gradient and Hessian each call the value again."""
+    w2 = float(width) ** 2
+
+    def value(x):
+        y = x - c
+        return np.exp(-0.5 * np.einsum("ni,ni->n", y, y) / w2)
+
+    def gradient(x):
+        y = x - c
+        return -(y / w2) * value(x)[:, None]
+
+    def hessian(x):
+        y = x - c
+        eye = np.eye(dim)
+        H = (y[:, :, None] * y[:, None, :]) / w2**2 - eye[None, :, :] / w2
+        return H * value(x)[:, None, None]
+
+    return value, gradient, hessian
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bump_matches_the_formula_it_replaced(dim):
+    # bit for bit, with a vector centre and with a scalar one broadcast
+    xs = np.random.default_rng(13).normal(scale=2.0, size=(200, dim))
+    for center, width in [
+        (np.linspace(-0.8, 0.6, dim), 1.3),
+        (np.atleast_1d(0.5), 1.5),
+        (np.zeros(dim), 0.4),
+    ]:
+        f = functions.gaussian_bump(center, width, dim)
+        for built, old in zip(
+            (f.value, f.gradient, f.hessian), _closure_gaussian_bump(center, width, dim)
+        ):
+            assert np.array_equal(built(xs), old(xs))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_plateau_matches_the_formula_it_replaced(dim):
     # bit for bit, on random points, on points at exactly r1 and r2 from

@@ -10,6 +10,7 @@ the quadrature -- before anything else in the package leans on them.
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from scipy.special import roots_hermite
 from conftest import mc_G
 from kolmolab import catalog, functions, runner, sde
 from kolmolab.errors import DomainError, NoEvolutionMeasureError
+from kolmolab.model import RidgeTerm
 from kolmolab.ou import (
     _MIN_WEIGHT,
+    GH_HALF_ORDER,
     GaussianMeasure,
     OUModel,
     _mehler_moments,
@@ -556,17 +559,30 @@ def ridge_rule_G_at_default_order(model, t, s, f, xs, grad=False):
     return ridge_rule_G(model, t, s, f, xs, z[:, 0], w, grad)
 
 
+def one_point_at_a_time_G(model, t, s, f, xs, grad=False):
+    return np.array([ou_apply_G(model, t, s, f, x, grad=grad) for x in xs])
+
+
+def off_centre_plateau(dim):
+    """A function with no closed form under G, so it takes the tensor rule;
+    its support holds the standard normal points the tests evaluate at."""
+    return functions.smooth_plateau(1.0, 5.0, np.linspace(0.3, -0.5, dim), dim)
+
+
 @pytest.mark.parametrize("n", [1, 2, 33, 40, 81, 100])
 def test_apply_G_chunking_matches_single_chunk(rng, n):
     # d = 2 at order 64 (1600 nodes) puts 40 points in a chunk of the tensor
     # rule, so 81 and 100 points make several (81 would leave one point
     # over); each point must come out exactly as from one unchunked pass.
-    # The bump takes the tensor rule and the ridge the one-dimensional rule
-    # of order 256, each checked against a one-pass reference of its rule.
+    # The plateau takes the tensor rule and the ridge the one-dimensional
+    # rule of order 256, each checked against a one-pass reference of its
+    # rule; the bump takes the closed form, which must give each point of a
+    # batch exactly its value alone.
     model = catalog.get("ou_periodic", dim=2).model
     cases = [
-        (functions.gaussian_bump(np.array([0.3, -0.5]), 1.2), tensor_rule_G),
+        (off_centre_plateau(2), tensor_rule_G),
         (functions.tanh_ridge(np.array([0.6, -0.8]), 0.2), ridge_rule_G_at_default_order),
+        (functions.gaussian_bump(np.array([0.3, -0.5]), 1.2), one_point_at_a_time_G),
     ]
     t, s = 1.3, 0.2
     xs = rng.normal(size=(n, 2))
@@ -584,19 +600,26 @@ def test_apply_G_chunking_matches_single_chunk(rng, n):
 def test_rule_values_do_not_depend_on_the_batch(rng, dim, n, ridge):
     # in the tensor cases, a BLAS matrix-vector sum over the nodes gave a
     # point in the batch a value up to 7e-16 away from its value alone
+    # the bump (closed form) rides along with the tensor cases
     model = catalog.get("ou_periodic", dim=dim).model
     if ridge:
-        f = functions.hyper_battery(dim, 1)[0]
+        fns = [functions.hyper_battery(dim, 1)[0]]
     else:
-        f = functions.gaussian_bump(0.2 * np.ones(dim), 1.2)
+        fns = [off_centre_plateau(dim), functions.gaussian_bump(0.2 * np.ones(dim), 1.2)]
     xs = rng.normal(size=(n, dim))
-    for grad in (False, True):
+    for f, grad in itertools.product(fns, (False, True)):
         whole = ou_apply_G(model, 1.3, 0.2, f, xs, grad=grad)
         parts = [ou_apply_G(model, 1.3, 0.2, f, xs[i : i + 7], grad=grad)
                  for i in range(0, n, 7)]
         assert np.array_equal(np.concatenate(parts), whole)
         for i in (0, 5, n - 1):
             assert np.array_equal(ou_apply_G(model, 1.3, 0.2, f, xs[i], grad=grad), whole[i])
+
+
+def _is_ridge_sum(f):
+    return f.ridges is not None and all(
+        isinstance(term, RidgeTerm) for term in f.ridges.terms
+    )
 
 
 def _ridge_cases(dim):
@@ -606,7 +629,7 @@ def _ridge_cases(dim):
         functions.sin_ridge(np.linspace(1.5, 0.3, dim), -0.4),
         functions.affine(np.linspace(-0.7, 1.1, dim), 0.3),
         *functions.hyper_battery(dim, 20),
-        *(f for f in runner._decay_family(dim, True) if f.ridges is not None),
+        *(f for f in runner._decay_family(dim, True) if _is_ridge_sum(f)),
     ]
     assert len(fns) == 26
     return fns
@@ -639,18 +662,87 @@ def test_ridge_rule_matches_a_300_node_reference(model):
 
 
 def test_tensor_rule_serves_d1_ridges_and_non_ridge_combinations(rng):
-    # in d = 1 the tensor rule is already one-dimensional; a combination
-    # with a non-ridge member (a Gaussian bump) declares no ridges
+    # in d = 1 the tensor rule is already one-dimensional, for ridges and
+    # bumps alike; a combination with a member that is neither (a plateau)
+    # declares no sum
     one_d = catalog.get("ou_periodic").model
     two_d = catalog.get("ou_periodic", dim=2).model
+    mixed = functions.combine(
+        [0.4, 0.3],
+        [functions.tanh_ridge(np.array([0.6, -0.8]), 0.2), off_centre_plateau(2)],
+        const=1.0,
+    )
     cases = [
         (one_d, functions.tanh_ridge(np.array([0.7]), 0.2)),
         (one_d, functions.hyper_battery(1, 1)[0]),
-        (two_d, functions.lsi_battery(2, 1)[0]),
+        (one_d, functions.gaussian_bump(0.3, 1.2)),
+        (one_d, functions.lsi_battery(1, 1)[0]),
+        (two_d, mixed),
     ]
-    assert cases[2][1].ridges is None
+    assert mixed.ridges is None
     for model, f in cases:
         xs = rng.normal(size=(30, model.dim))
         for grad in (False, True):
             ref = tensor_rule_G(model, 1.3, 0.2, f, xs, grad=grad)
             assert np.array_equal(ou_apply_G(model, 1.3, 0.2, f, xs, grad=grad), ref)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        make_noncommuting_model(),
+        catalog.get("ou_periodic", dim=2).model,
+        catalog.get("ou_periodic", dim=3).model,
+    ],
+    ids=["triangular-d2", "ou_periodic-d2", "ou_periodic-d3"],
+)
+def test_bump_closed_form_matches_the_tensor_rule(model):
+    # in d >= 2 a bump takes the closed form, whose gradient carries M^T:
+    # M is not symmetric on the triangular model.  The bumps are the
+    # bounded family's four, decay's, and a narrow off-centre one.
+    dim = model.dim
+    bumps = [
+        *functions.bounded_test_family(dim)[4:8],
+        runner._decay_family(dim, True)[-1],
+        functions.gaussian_bump(2.5, 0.5, dim),
+    ]
+    assert all(f.meta.name.startswith("bump") for f in bumps)
+    xs = np.random.default_rng(5).normal(scale=1.5, size=(40, dim))
+    worst = 0.0
+    for f in bumps:
+        for t, s in ((0.5, 0.25), (1.5, 0.5), (4.0, 0.0)):
+            for grad in (False, True):
+                got = ou_apply_G(model, t, s, f, xs, grad=grad)
+                ref = tensor_rule_G(model, t, s, f, xs, grad=grad)
+                worst = max(worst, float(np.max(np.abs(got - ref))))
+                # no rule, so the order (and the push tolerance) plays no part
+                half = ou_apply_G(model, t, s, f, xs, GH_HALF_ORDER, grad=grad)
+                assert np.array_equal(half, got)
+        for grad in (False, True):
+            exact = f.gradient(xs) if grad else f.value(xs)
+            assert np.array_equal(ou_apply_G(model, 0.7, 0.7, f, xs, grad=grad), exact)
+    assert worst <= 1e-13
+
+
+def test_mixed_sum_is_applied_term_by_term():
+    # an lsi battery member is 1 + three tanh ridges + a bump, declared as
+    # one sum through combine: its ridges take the one-dimensional rule
+    # and its bump the closed form
+    model = catalog.get("ou_periodic", dim=2).model
+    f = functions.lsi_battery(2, 1)[0]
+    ridge_terms = [term for term in f.ridges.terms if isinstance(term, RidgeTerm)]
+    (bump_term,) = [term for term in f.ridges.terms if not isinstance(term, RidgeTerm)]
+    ridge_part = SimpleNamespace(ridges=f.ridges._replace(terms=tuple(ridge_terms)))
+    bump = functions.gaussian_bump(bump_term.c, math.sqrt(bump_term.w2), 2)
+    xs = np.random.default_rng(3).normal(scale=1.5, size=(40, 2))
+    declared = ridge_part.ridges.const + bump_term.a * bump.value(xs) + sum(
+        term.a * term.phi(xs @ term.w + term.b) for term in ridge_terms
+    )
+    assert np.max(np.abs(declared - f.value(xs))) <= 1e-15
+    for t, s in ((0.5, 0.25), (1.5, 0.5), (4.0, 0.0)):
+        for grad in (False, True):
+            ref = ridge_rule_G_at_default_order(
+                model, t, s, ridge_part, xs, grad=grad
+            ) + bump_term.a * tensor_rule_G(model, t, s, bump, xs, grad=grad)
+            got = ou_apply_G(model, t, s, f, xs, grad=grad)
+            assert np.max(np.abs(got - ref)) <= 1e-13
