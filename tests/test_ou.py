@@ -599,8 +599,8 @@ def test_apply_G_chunking_matches_single_chunk(rng, n):
 )
 def test_rule_values_do_not_depend_on_the_batch(rng, dim, n, ridge):
     # in the tensor cases, a BLAS matrix-vector sum over the nodes gave a
-    # point in the batch a value up to 7e-16 away from its value alone
-    # the bump (closed form) rides along with the tensor cases
+    # point in the batch a value up to 7e-16 away from its value alone; a
+    # bump (closed form) rides along with the plateau there
     model = catalog.get("ou_periodic", dim=dim).model
     if ridge:
         fns = [functions.hyper_battery(dim, 1)[0]]
