@@ -12,20 +12,25 @@ Everything is driven by one two-parameter family ``U``:
 
       d/dt U(t, s) = -A(t) U(t, s),   U(s, s) = I.
 
-  Its decay (rate ``omega0 < 0``) builds the evolution system of measures
-
-      Q_t = int_t^inf U(t, xi) B(xi) B(xi)^T U(t, xi)^T dxi,
-      g_t = int_t^inf U(t, xi) g(xi) dxi,          mu_t = N(g_t, Q_t),
-
-  and the SAME family, read with swapped arguments, is the kernel matrix of
-  the evolution operator:
+  The SAME family, read with swapped arguments, is the kernel matrix of the
+  evolution operator:
 
       (G(t, s) f)(x) = E[ f(U(s,t) x + m_{t,s} + Z) ],   Z ~ N(0, C_{t,s}),
       m_{t,s} = int_s^t U(s,xi) g(xi) dxi,
       C_{t,s} = int_s^t U(s,xi) B(xi) B(xi)^T U(s,xi)^T dxi.
 
   U(s, t) solves d/dt Y = Y A(t), Y(s) = I: every kernel moment is anchored
-  at s.  With these moments the pushforward of mu_t through the kernel is
+  at s, and one ODE pass on [s, t] gives all three (``_mehler_moments``).
+  Its decay (rate ``omega0 < 0``) builds the evolution system of measures
+  as the limit of the kernel, G(t, s) f -> int f dmu_s as t -> inf:
+
+      Q_s = lim_t C_{t,s} = int_s^inf U(s, xi) B(xi) B(xi)^T U(s, xi)^T dxi,
+      g_s = lim_t m_{t,s} = int_s^inf U(s, xi) g(xi) dxi,   mu_s = N(g_s, Q_s).
+
+  ``evolution_measure`` takes mu_s from the kernel of G(T_tail, s), with
+  T_tail chosen from the fitted decay so the discarded tail is below its
+  ``tol``: the error of mu_s is that tail bound plus the ODE tolerance.
+  With these moments the pushforward of mu_t through the kernel is
 
       U(s,t) Q_t U(s,t)^T + C_{t,s} = Q_s        (cocycle U(s,t)U(t,xi)
                                                   = U(s,xi), exactly),
@@ -90,6 +95,8 @@ __all__ = [
 ]
 
 _ODE_METHOD = "DOP853"
+# The relative tolerance of every matrix ODE solve.
+_ODE_RTOL = 1e-10
 
 # Every Gaussian integral of a run uses the Gauss-Hermite rule of GH_ORDER
 # per axis; a quadrature's tolerance is its gap to the rule of GH_HALF_ORDER.
@@ -376,13 +383,13 @@ class OUModel:
         )
 
 
-def _solve_matrix_ode(rhs, y0, t0, t1, rtol=1e-10, atol=1e-13, dense=False):
+def _solve_matrix_ode(rhs, y0, t0, t1, atol=1e-13, dense=False):
     sol = integrate.solve_ivp(
         rhs,
         (t0, t1),
         y0,
         method=_ODE_METHOD,
-        rtol=rtol,
+        rtol=_ODE_RTOL,
         atol=atol,
         dense_output=dense,
     )
@@ -394,7 +401,7 @@ def _solve_matrix_ode(rhs, y0, t0, t1, rtol=1e-10, atol=1e-13, dense=False):
     return sol
 
 
-def _left_product(model, t, s, sign, rtol):
+def _left_product(model, t, s, sign):
     """Y(t) for Y' = sign A(tau) Y, Y(s) = I."""
     d = model.dim
     if t == s:
@@ -403,33 +410,23 @@ def _left_product(model, t, s, sign, rtol):
     def rhs(tau, y):
         return (sign * model.A_mat(tau) @ y.reshape(d, d)).ravel()
 
-    sol = _solve_matrix_ode(rhs, np.eye(d).ravel(), s, t, rtol=rtol)
+    sol = _solve_matrix_ode(rhs, np.eye(d).ravel(), s, t)
     return sol.y[:, -1].reshape(d, d)
 
 
-def _right_product(model, t0, t1, **tols):
-    """Dense solution of Y' = Y A(xi), Y(t0) = I, on [t0, t1]."""
-    d = model.dim
-
-    def rhs(xi, y):
-        return (y.reshape(d, d) @ model.A_mat(xi)).ravel()
-
-    return _solve_matrix_ode(rhs, np.eye(d).ravel(), t0, t1, dense=True, **tols)
-
-
-def transition_U(model, t, s, rtol=1e-10):
+def transition_U(model, t, s):
     """U(t, s) solving d/dt U = -A(t) U, U(s, s) = I (integrated in t)."""
-    return _left_product(model, t, s, -1.0, rtol)
+    return _left_product(model, t, s, -1.0)
 
 
-def forward_transition(model, t, s, rtol=1e-10):
+def forward_transition(model, t, s):
     """Phi(t, s) solving d/dt Phi = A(t) Phi, Phi(s, s) = I.
 
     This is the state transition of the sample paths (it gives the closed
     forms the simulator is checked against), not the kernel matrix of the
     evolution operator; that matrix is U(s, t) -- see the module docstring.
     """
-    return _left_product(model, t, s, 1.0, rtol)
+    return _left_product(model, t, s, 1.0)
 
 
 class OmegaEstimate(NamedTuple):
@@ -453,9 +450,15 @@ def estimate_omega0(model):
     bases = model.base_time() + np.linspace(0.0, 2.0 * math.pi, 4)
     gaps = np.geomspace(1.0, _OMEGA_HORIZON, 24)
     d = model.dim
+
+    def rhs(xi, y):  # U(base, xi) solves Y' = Y A(xi), Y(base) = I
+        return (y.reshape(d, d) @ model.A_mat(xi)).ravel()
+
     xs, ys = [], []
     for base in bases:
-        sol = _right_product(model, base, base + _OMEGA_HORIZON, rtol=1e-10)
+        sol = _solve_matrix_ode(
+            rhs, np.eye(d).ravel(), base, base + _OMEGA_HORIZON, dense=True
+        )
         for gap in gaps:
             V = sol.sol(base + gap).reshape(d, d)
             nrm = np.linalg.norm(V, 2)
@@ -482,10 +485,13 @@ def _sup_norms(model, t, span):
 def evolution_measure(model, t, tol=1e-8, omega_fit=None):
     """The time-t member mu_t = N(g_t, Q_t) of the evolution system.
 
-    Q_t and g_t are the improper integrals in the module docstring, computed
-    by adaptive (Gauss-Kronrod style) quadrature on [t, T_tail] where T_tail
-    is chosen from the fitted decay (omega, M) -- with a factor-2 safety
-    margin on M -- so the discarded tail is below ``tol``.
+    mu_t is the limit of the kernel of G(T, t) as T -> inf: Q_t and g_t (the
+    improper integrals in the module docstring) are the kernel moments
+    C_{T_tail,t} and m_{T_tail,t} of :func:`_mehler_moments`, one ODE pass
+    on [t, T_tail].  T_tail is chosen from the fitted decay (omega, M) --
+    with a factor-2 safety margin on M -- and the sup norms of B B^T and g
+    over [t, T_tail], so the discarded tail is below ``tol``.  The error of
+    mu_t is that tail bound plus the tolerance of the ODE solve.
     """
     if omega_fit is None:
         omega_fit = estimate_omega0(model)
@@ -496,36 +502,29 @@ def evolution_measure(model, t, tol=1e-8, omega_fit=None):
             "no evolution system of measures exists for this model"
         )
     Msafe = 2.0 * M
-    bb, gg = _sup_norms(model, t, 40.0)
-    if bb <= 0.0:
-        raise DomainError("B(t) B(t)^T vanished on the sampled window")
-    # Tail bounds: the Q integrand decays like Msafe^2 bb e^{2 omega (xi - t)},
-    # the g integrand like Msafe gg e^{omega (xi - t)}.
-    span_q = math.log(2.0 * abs(omega) * tol / (Msafe**2 * bb)) / (2.0 * omega)
-    span = max(1.0, span_q)
-    if gg > 0.0:
-        span_g = math.log(abs(omega) * tol / (Msafe * gg)) / omega
-        span = max(span, span_g)
-    if span > 40.0:
-        bb, gg = _sup_norms(model, t, span)
-    T_tail = t + span
 
-    d = model.dim
-    sol = _right_product(model, t, T_tail, rtol=1e-12, atol=1e-14)
+    def tail_span(window):
+        # Tail bounds over the window: the Q integrand decays like
+        # Msafe^2 bb e^{2 omega (xi - t)}, the g integrand like
+        # Msafe gg e^{omega (xi - t)}.
+        bb, gg = _sup_norms(model, t, window)
+        if bb <= 0.0:
+            raise DomainError("B(t) B(t)^T vanished on the sampled window")
+        span_q = math.log(2.0 * abs(omega) * tol / (Msafe**2 * bb)) / (2.0 * omega)
+        span = max(1.0, span_q)
+        if gg > 0.0:
+            span_g = math.log(abs(omega) * tol / (Msafe * gg)) / omega
+            span = max(span, span_g)
+        return span
 
-    def integrand(xi):
-        V = sol.sol(xi).reshape(d, d)
-        Bm = model.B_mat(xi)
-        VB = V @ Bm
-        return np.concatenate([(VB @ VB.T).ravel(), V @ model.g_vec(xi)])
-
-    vec, err = integrate.quad_vec(integrand, t, T_tail, epsabs=tol / 2.0, epsrel=0.0)
-    Q_t = vec[: d * d].reshape(d, d)
-    g_t = vec[d * d :]
+    span = tail_span(40.0)
+    if span > 40.0:  # the bounds must hold on the wider window too
+        span = tail_span(span)
+    _, g_t, Q_t = _mehler_moments(model, t + span, t)
     return GaussianMeasure(mean=g_t, cov=Q_t, t=float(t))
 
 
-def _mehler_moments(model, t, s, rtol=1e-10):
+def _mehler_moments(model, t, s):
     """(M, m_{t,s}, C_{t,s}) of the G(t, s) kernel, with M = U(s, t).
 
     One joint ODE pass on [s, t] of the s-anchored system
@@ -547,7 +546,7 @@ def _mehler_moments(model, t, s, rtol=1e-10):
         return np.concatenate([dM.ravel(), dm, dC.ravel()])
 
     y0 = np.concatenate([np.eye(d).ravel(), np.zeros(d), np.zeros(d * d)])
-    sol = _solve_matrix_ode(rhs, y0, s, t, rtol=rtol, atol=1e-14)
+    sol = _solve_matrix_ode(rhs, y0, s, t, atol=1e-14)
     y = sol.y[:, -1]
     M = y[:nM].reshape(d, d)
     m = y[nM : nM + nm]

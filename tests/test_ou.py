@@ -202,6 +202,41 @@ def test_evolution_measure_periodic_in_time(ou_periodic_bundle):
     assert abs(a.cov[0, 0] - b.cov[0, 0]) <= 5e-8
 
 
+def test_evolution_measure_growing_noise_widens_the_tail_window():
+    # dX = -0.1 X dt + sqrt(2) (1 + 0.2 t) dW: the tail span exceeds the
+    # first 40-unit window, and the wider window's larger B must set it.
+    # Q_t = 2 int_0^inf e^{-a u} (c + g u)^2 du = 2 (c^2/a + 2cg/a^2 + 2g^2/a^3)
+    # with a = 0.2, g = 0.2, c = 1 + g t.
+    model = OUModel(
+        dim=1,
+        A=lambda t: np.array([[-0.1]]),
+        B=lambda t: np.array([[math.sqrt(2.0) * (1.0 + 0.2 * t)]]),
+        interval_start=-1.0,
+        name="growing_noise",
+    )
+    a = g = 0.2
+    for t in (0.0, 2.5):
+        c = 1.0 + g * t
+        want = 2.0 * (c**2 / a + 2.0 * c * g / a**2 + 2.0 * g**2 / a**3)
+        mu = evolution_measure(model, t)
+        assert abs(mu.cov[0, 0] - want) <= 1e-8
+        assert mu.mean[0] == 0.0
+
+
+def test_evolution_measure_nonnormal_d2_with_load():
+    # autonomous, non-normal A with a load: mu_t is the invariant Gaussian
+    # of the Lyapunov equation at every t
+    A = np.array([[-1.0, 2.0], [0.0, -1.5]])
+    B = np.array([[1.0, 0.0], [0.5, 1.0]])
+    g = np.array([0.3, -0.2])
+    model = OUModel(dim=2, A=lambda t: A, B=lambda t: B, g=lambda t: g, name="nn")
+    want = solve_lyapunov_limit(A, B, g)
+    for t in (0.0, 2.5):
+        mu = evolution_measure(model, t)
+        assert np.max(np.abs(mu.mean - want.mean)) <= 1e-8
+        assert np.max(np.abs(mu.cov - want.cov)) <= 1e-8
+
+
 # ----------------------------------------------------------------------
 # the evolution operator on Gaussians (kernel orientation regressions)
 # ----------------------------------------------------------------------

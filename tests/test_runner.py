@@ -247,7 +247,15 @@ def test_ou_run_computes_each_ingredient_once(monkeypatch):
     mus = recorder(
         monkeypatch, engines, "evolution_measure", lambda model, t, *rest: t
     )
-    kernels = recorder(monkeypatch, ou, "_mehler_moments", lambda m, t, s: (t, s))
+    # each kernel solve with the function that asked for it: mu_t is the
+    # kernel of G(T_tail, t), solved by evolution_measure itself, and the
+    # G(t, s) kernels come through the run's memo
+    solves = recorder(
+        monkeypatch,
+        ou,
+        "_mehler_moments",
+        lambda m, t, s: (sys._getframe(2).f_code.co_name, t, s),
+    )
     # the estimators reach mu_t only through the run's engine
     assert not hasattr(measures, "evolution_measure")
     report = runner.run_scenario(parse_scenario(TINY_OU))
@@ -255,8 +263,12 @@ def test_ou_run_computes_each_ingredient_once(monkeypatch):
     assert len(fits) == 1
     assert len(mus) == len(set(mus))
     assert set(mus) == {0.0, 0.5, 0.99, 1.0, 1.01, 2.0}
-    assert len(kernels) == len(set(kernels))
-    assert set(kernels) == {(0.5, 0.0), (1.0, 0.0)}
+    pairs = [(t, s) for _, t, s in solves]
+    assert len(pairs) == len(set(pairs))
+    kernels = {(t, s) for who, t, s in solves if who != "evolution_measure"}
+    assert kernels == {(0.5, 0.0), (1.0, 0.0)}
+    measure_solves = [s for who, _, s in solves if who == "evolution_measure"]
+    assert sorted(measure_solves) == sorted(mus)
     counts = report.metadata["memo"]
     assert set(counts) == set(KINDS)
     assert counts["measures"]["misses"] == len(mus)
