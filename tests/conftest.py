@@ -2,7 +2,7 @@
 
 Session scope is used for the analytic engines because they memoize the
 evolution measures; rebuilding them per test would repeat the same tail
-quadratures dozens of times.
+ODE solves dozens of times.
 """
 
 import math
