@@ -5,17 +5,14 @@ mu_t, the decay fit omega, the kernel moments, and G(t, s)f at an engine's
 outer points -- depends only on its arguments, so one computation per run
 serves every experiment that asks for it and changes no result.
 
-Experiments run on up to four threads.  Each key has its own lock, so
-concurrent requests for one key wait for a single computation while other
-keys proceed.  A computation that raises stores nothing; its lock is
-released and the next request computes afresh.  Stored arrays are made
-read-only, since every requester shares them.
+A computation that raises stores nothing, so the next request computes
+afresh.  Stored arrays are made read-only, since every requester shares
+them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 from collections import Counter
 
 import numpy as np
@@ -48,40 +45,30 @@ class Memo:
 
     def __init__(self):
         self._values = {}
-        self._locks = {}
-        self._guard = threading.Lock()
         self._hits = Counter()
         self._misses = Counter()
 
     def __call__(self, kind, fn, *args):
         key = (kind, fn, args)
-        with self._guard:
-            lock = self._locks.setdefault(key, threading.Lock())
-        with lock:
-            if key in self._values:
-                tally = self._hits
-            else:
-                value = fn(*args)
-                _freeze(value)
-                self._values[key] = value
-                tally = self._misses
-            value = self._values[key]
-        with self._guard:
-            tally[kind] += 1
-        return value
+        if key in self._values:
+            self._hits[kind] += 1
+        else:
+            value = fn(*args)
+            _freeze(value)
+            self._values[key] = value
+            self._misses[kind] += 1
+        return self._values[key]
 
     def values(self, kind):
         """The results stored under ``kind`` so far."""
-        with self._guard:
-            return [v for key, v in self._values.items() if key[0] == kind]
+        return [v for key, v in self._values.items() if key[0] == kind]
 
     def counts(self):
         """{kind: {"hits": n, "misses": n}} for every kind in :data:`KINDS`."""
-        with self._guard:
-            return {
-                kind: {"hits": self._hits[kind], "misses": self._misses[kind]}
-                for kind in KINDS
-            }
+        return {
+            kind: {"hits": self._hits[kind], "misses": self._misses[kind]}
+            for kind in KINDS
+        }
 
 
 def fresh(kind, fn, *args):

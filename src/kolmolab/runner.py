@@ -10,18 +10,15 @@ Rows carry one of four verdicts:
   (e.g. a hypercontractivity exponent overflowing the double range).
 
 An experiment passes iff none of its rows fail; a report passes iff every
-experiment passes.  Experiments are independent and may run concurrently
-(``KOLMOLAB_THREADS`` caps the worker count); results are assembled in
-declared order, so reports do not depend on scheduling.
+experiment passes.  Experiments run one after another, in declared order, on
+the calling thread.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,7 +29,7 @@ import numpy as np
 from . import functions as fb
 from ._version import __version__
 from .engines import AnalyticOUEngine, MonteCarloEngine
-from .errors import CertificateUnavailableError, ScenarioError
+from .errors import CertificateUnavailableError
 from .ineq import (
     ExperimentRow,
     CSV_COLUMNS,
@@ -585,24 +582,6 @@ def _build_cfg(scn):
     )
 
 
-def max_workers(n_tasks):
-    """Worker count for concurrent experiments; KOLMOLAB_THREADS caps it."""
-    raw = os.environ.get("KOLMOLAB_THREADS")
-    cap = min(4, n_tasks) if n_tasks else 1
-    if raw is not None:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ScenarioError(
-                f"KOLMOLAB_THREADS must be a positive integer, got {raw!r}"
-            )
-        if cap < 1:
-            raise ScenarioError(
-                f"KOLMOLAB_THREADS must be a positive integer, got {raw!r}"
-            )
-    return max(1, min(cap, n_tasks or 1))
-
-
 def _run_one(ctx, decl):
     try:
         rows = tuple(_RUNNERS[decl.kind](ctx, decl))
@@ -633,13 +612,7 @@ def run_scenario(scn):
     cfg.check_against(bundle.spec)
     ctx = RunContext(scn=scn, bundle=bundle, cfg=cfg)
 
-    decls = list(scn.experiments)
-    workers = max_workers(len(decls))
-    if workers > 1 and len(decls) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda d: _run_one(ctx, d), decls))
-    else:
-        reports = [_run_one(ctx, d) for d in decls]
+    reports = [_run_one(ctx, d) for d in scn.experiments]
 
     verdict = "pass"
     for rep in reports:

@@ -448,6 +448,24 @@ def _check_signs(exp):
                 _err(f"experiment {exp.name!r}: {key} must be {sign}, got {x!r}")
 
 
+def _check_arrays(exp):
+    """Arrays must not be empty; each decay fit needs two distinct gaps, and
+    the gradient side's start at 1 (the short-time scale is governed by the
+    smoothing estimate, not the decay rate)."""
+    for key, v in exp.params.items():
+        if v == []:
+            _err(f"experiment {exp.name!r}: {key} must not be empty")
+    for key in ("gaps_a", "gaps_b"):
+        if key in exp.params and len(set(_finite_values(exp, key))) < 2:
+            _err(
+                f"experiment {exp.name!r}: {key} needs two distinct gaps to "
+                "fit a rate"
+            )
+    low = [x for x in _finite_values(exp, "gaps_b") if x < 1]
+    if low:
+        _err(f"experiment {exp.name!r}: gaps_b must be at least 1, got {low[0]!r}")
+
+
 def _check_counts(exp):
     """Counts of points, paths or cases must be positive integers."""
     for key in ("n", "cloud", "inner", "outer", "paths"):
@@ -563,6 +581,7 @@ def validate_scenario(scn):
             )
         _check_times(scn, exp, ("s", "t", "r", "times"), start)
         _check_signs(exp)
+        _check_arrays(exp)
         _check_exponents(exp)
         _check_counts(exp)
         if not isinstance(exp.params.get("export", True), bool):

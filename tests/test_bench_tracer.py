@@ -60,9 +60,7 @@ def spans():
     return module
 
 
-def test_tracer_counts_the_ou_spans(spans, monkeypatch):
-    # the tracer's span stack assumes one thread
-    monkeypatch.setenv("KOLMOLAB_THREADS", "1")
+def test_tracer_counts_the_ou_spans(spans):
     tracer = spans.Tracer().install()
     try:
         for text in (TINY_OU, TINY_MC):

@@ -143,11 +143,10 @@ def test_leimkuhler_matthews_is_no_scenario_scheme(tmp_path, capsys, monkeypatch
     assert "sim scheme must be one of" in capsys.readouterr().err
 
 
-def test_unstable_burn_in_step_ends_as_error_verdict(tmp_path, capsys, monkeypatch):
+def test_unstable_burn_in_step_ends_as_error_verdict(tmp_path, capsys):
     # h (lin + 3 cub y^2) is about 3 in the bulk of the law at h = 5e-2, so
     # the explicit burn-in step blows up, and so does the Euler rerun at the
     # scenario's dt of 5e-2; the run reports it and goes on
-    monkeypatch.setenv("KOLMOLAB_THREADS", "1")  # errstate holds per thread
     scn = write_scn(
         tmp_path,
         "scenario stiff\n  catalog cubic_dissipative\n  param cub 1000\n"
@@ -174,7 +173,7 @@ def read_outputs(base):
     return csvs, summary
 
 
-def test_seeded_runs_are_reproducible(tmp_path, capsys, monkeypatch):
+def test_seeded_runs_are_reproducible(tmp_path, capsys):
     scn = write_scn(tmp_path, TINY_MC)
     runs = {}
     for tag in ("a", "b"):
@@ -184,12 +183,6 @@ def test_seeded_runs_are_reproducible(tmp_path, capsys, monkeypatch):
         assert code == 0
         runs[tag] = read_outputs(tmp_path / tag / "cli_mc")
     assert runs["a"] == runs["b"]
-
-    # worker count must not leak into results
-    monkeypatch.setenv("KOLMOLAB_THREADS", "2")
-    code = cli.main(["run", str(scn), "--seed", "7", "--out", str(tmp_path / "c")])
-    assert code == 0
-    assert read_outputs(tmp_path / "c" / "cli_mc") == runs["a"]
     capsys.readouterr()
 
 
@@ -235,13 +228,6 @@ def test_rejects_non_finite_flags(flag, message, capsys):
 def test_rejects_unknown_target(capsys):
     assert cli.main(["run", "no_such_thing"]) == 2
     assert "neither a scenario file nor a catalog entry" in capsys.readouterr().err
-
-
-def test_rejects_bad_thread_env(tmp_path, capsys, monkeypatch):
-    scn = write_scn(tmp_path, TINY_OU)
-    monkeypatch.setenv("KOLMOLAB_THREADS", "many")
-    assert cli.main(["run", str(scn), "--out", str(tmp_path / "o")]) == 2
-    assert "KOLMOLAB_THREADS" in capsys.readouterr().err
 
 
 def test_overclaimed_rate_fails_audit(tmp_path, capsys):
@@ -296,6 +282,19 @@ def test_bad_set_syntax(capsys):
         ("hyper", "curve_gaps=[-0.5]"),
         ("decay", "gaps_a=[-1]"),
         ("decay", "gaps_b=[-1]"),
+        ("invariance", "spans=[]"),
+        ("hyper", "q=[]"),
+        ("hyper", "gaps=[]"),
+        ("decay", "p=[]"),
+        ("limit", "times=[]"),
+        ("decay", "gaps_a=[]"),
+        ("decay", "gaps_b=[0, 1]"),
+        ("decay", "gaps_a=[1, 1]"),
+        ("lsi", "p=[]"),
+        ("poincare", "p=[]"),
+        ("flow", "r=[]"),
+        ("simulate", "spans=[]"),
+        ("measure", "radii=[]"),
         ("lsi", "n=abc"),
         ("lsi", "n=2.5"),
         ("hyper", "inner=0"),
@@ -315,7 +314,8 @@ def test_out_of_domain_values_are_configuration_errors(kind, assignment, capsys)
     start = time.monotonic()
     assert cli.main([kind, "ou_const", "--set", assignment]) == 2
     assert time.monotonic() - start < 10.0
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
 
 
 # ----------------------------------------------------------------------
@@ -332,7 +332,7 @@ _FUZZ_VALUES = {
     "gaps": ("[0.25]", "[0.5, 1.0]"),
     "curve_gaps": ("[0.0, 0.25]",),
     "gaps_a": ("[0.5, 1.0]", "[1.0, 2.0]"),
-    "gaps_b": ("[0.5, 1.0]", "[1.0, 2.0]"),
+    "gaps_b": ("[1.0, 1.5]", "[1.0, 2.0]"),
     "p": ("[2.0]", "[1.5, 4.0]"),
     "p_b": ("2.0",),
     "q": ("[1.5]", "[2.0]"),

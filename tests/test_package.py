@@ -1,5 +1,6 @@
 """The package root, the README's library example, unused imports and
-parameters, and the one surface of the engines and of the measures."""
+parameters, the one surface of the engines and of the measures, and one
+execution path that reads no environment variable."""
 
 import ast
 import pathlib
@@ -176,3 +177,38 @@ def test_engines_and_measures_each_share_one_surface():
     assert public_methods(GaussianMeasure) - GAUSSIAN_ONLY == public_methods(
         EmpiricalMeasure
     )
+
+
+# A run has one execution path, on the calling thread, and reads no
+# environment variable: no module may start threads or consult os.environ.
+THREAD_MODULES = {"threading", "concurrent"}
+ENVIRONMENT_READS = {"environ", "getenv"}
+
+
+def threads_and_environment(path):
+    """'file:line what' of each thread-module import and environment read."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+            if node.module == "os":
+                names = [f"os.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [ast.unparse(node)] if isinstance(node.value, ast.Name) else []
+        else:
+            continue
+        out += [
+            f"{path.name}:{node.lineno} {name}"
+            for name in names
+            if name.split(".")[0] in THREAD_MODULES
+            or (name.startswith("os.") and name[3:] in ENVIRONMENT_READS)
+        ]
+    return out
+
+
+def test_no_module_starts_threads_or_reads_the_environment():
+    src = pathlib.Path(kolmolab.__file__).resolve().parent
+    found = [u for p in sorted(src.glob("*.py")) for u in threads_and_environment(p)]
+    assert found == []

@@ -1,9 +1,8 @@
 """Report oracle: seeded runs of small scenarios against golden files.
 
 The golden files under ``tests/golden/<scenario>/`` are the reports of
-``kolmolab run <scenario file> --seed 0`` at ``KOLMOLAB_THREADS=1``, for the
-shipped OU scenarios, for ``tests/scenarios/ou_d2.scn``, a small analytic run
-in dimension 2, and for ``tests/scenarios/mc_cubic.scn``, a small Monte Carlo
+``kolmolab run <scenario file> --seed 0``, for the shipped OU scenarios, for
+``tests/scenarios/ou_d2.scn``, a small analytic run in dimension 2, and for ``tests/scenarios/mc_cubic.scn``, a small Monte Carlo
 run of the cubic drift.  Every CSV must match byte for byte (exported
 clouds included), ``summary.json`` must match once its run-specific
 ``metadata`` is dropped, and the exit code must follow the golden verdict.
@@ -16,7 +15,6 @@ tolerance, |delta|/tolerance and verdict), so the change can name them.
 """
 
 import json
-import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -48,8 +46,7 @@ def summary_without_metadata(base):
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_report_matches_golden(name, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KOLMOLAB_THREADS", "1")
+def test_report_matches_golden(name, tmp_path, capsys):
     golden = GOLDEN / name
     expected = json.loads((golden / "summary.json").read_text())
     code, base = run_report(name, tmp_path)
@@ -125,7 +122,6 @@ def describe_changes(label, old_rows, new_rows):
 
 
 if __name__ == "__main__":
-    os.environ["KOLMOLAB_THREADS"] = "1"
     changes = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in SCENARIOS:

@@ -1,10 +1,8 @@
-"""Runner: the run-scoped memo, engine sizes, the keys each kind reads, and
-the experiment error boundary."""
+"""Runner: the run-scoped memo, engine sizes, the keys each kind reads, the
+experiment error boundary, and sequential execution in declared order."""
 
-import json
 import sys
 import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -120,7 +118,6 @@ def counting_sampler(monkeypatch, fail_first=False):
 
 
 def test_burn_in_runs_once_per_distinct_key(monkeypatch):
-    monkeypatch.setenv("KOLMOLAB_THREADS", "1")
     calls = counting_sampler(monkeypatch)
     report = runner.run_scenario(parse_scenario(TINY_GENERAL))
     assert [e.verdict for e in report.experiments] == ["pass"] * 3
@@ -212,20 +209,21 @@ def test_unstable_linear_euler_step_ends_as_error_verdict():
     assert "by step 511 " in rep.error
 
 
-def test_reports_do_not_depend_on_worker_count(tmp_path, monkeypatch):
-    # TINY_OU shares one analytic engine between four worker threads
-    for text, n_csv in ((TINY_GENERAL, 3), (TINY_OU, 4)):
-        outputs = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("KOLMOLAB_THREADS", threads)
-            report = runner.run_scenario(parse_scenario(text))
-            base = runner.write_report(report, tmp_path / threads).parent
-            summary = json.loads((base / "summary.json").read_text())
-            summary.pop("metadata")
-            csvs = {p.name: p.read_bytes() for p in sorted(base.glob("*.csv"))}
-            outputs[threads] = (csvs, summary)
-        assert len(outputs["1"][0]) == n_csv
-        assert outputs["1"] == outputs["4"]
+def test_experiments_run_in_declared_order_on_the_calling_thread(monkeypatch):
+    monkeypatch.delenv("KOLMOLAB_THREADS", raising=False)
+    calls = []
+
+    def record(ctx, exp):
+        calls.append((threading.get_ident(), exp.kind))
+        return []
+
+    scn = parse_scenario(TINY_OU)
+    for decl in scn.experiments:
+        monkeypatch.setitem(runner._RUNNERS, decl.kind, record)
+    report = runner.run_scenario(scn)
+    main = threading.get_ident()
+    assert calls == [(main, decl.kind) for decl in scn.experiments]
+    assert [e.kind for e in report.experiments] == ["measure", "invariance", "flow", "hyper"]
 
 
 def recorder(monkeypatch, owner, name, key):
@@ -242,7 +240,6 @@ def recorder(monkeypatch, owner, name, key):
 
 
 def test_ou_run_computes_each_ingredient_once(monkeypatch):
-    monkeypatch.setenv("KOLMOLAB_THREADS", "4")
     fits = recorder(monkeypatch, engines, "estimate_omega0", lambda model: model)
     mus = recorder(
         monkeypatch, engines, "evolution_measure", lambda model, t, *rest: t
@@ -305,37 +302,20 @@ def test_hyper_applies_G_once_per_key(monkeypatch, text, engine_cls):
     assert {(s, t) for s, t, _ in calls} == {(0.0, 0.5), (0.0, 1.0)}
 
 
-def test_concurrent_requests_share_one_measure(monkeypatch):
+def test_repeated_requests_share_one_measure(monkeypatch):
     ctx = tiny_context(TINY_OU)
     calls = []
     real = engines.evolution_measure
 
-    def slow_measure(model, t, *rest):
+    def counting_measure(model, t, *rest):
         calls.append(t)
-        time.sleep(0.01)  # let the other workers reach the memo meanwhile
         return real(model, t, *rest)
 
-    monkeypatch.setattr(engines, "evolution_measure", slow_measure)
+    monkeypatch.setattr(engines, "evolution_measure", counting_measure)
     exp = ctx.scn.experiments[0]
-    results = []
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [
-            threading.Thread(
-                target=lambda: results.append(ctx.engine(exp).measure(1.5))
-            )
-            for _ in range(8)
-        ]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=30)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(w.is_alive() for w in workers)
+    results = [ctx.engine(exp).measure(1.5) for _ in range(8)]
     assert calls == [1.5]
-    assert len(results) == 8 and all(r is results[0] for r in results)
+    assert all(r is results[0] for r in results)
     assert not results[0].cov.flags.writeable
 
 
@@ -356,61 +336,36 @@ def test_cached_clouds_are_shared_and_read_only():
         a.samples[0, 0] = 0.0
 
 
-def test_concurrent_requests_share_one_burn_in(monkeypatch):
+def test_repeated_requests_share_one_burn_in(monkeypatch):
     ctx = tiny_context()
     calls = []
     real = engines.sample_mu
 
-    def slow_sample(spec, t, tol, cfg):
+    def counting_sample(spec, t, tol, cfg):
         calls.append(t)
-        time.sleep(0.01)  # let the other workers reach the memo meanwhile
         return real(spec, t, tol, cfg)
 
-    monkeypatch.setattr(engines, "sample_mu", slow_sample)
+    monkeypatch.setattr(engines, "sample_mu", counting_sample)
     cfg = sde.SimConfig(dt=2e-2, n_paths=16, seed=1)
-    results = []
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [
-            threading.Thread(
-                target=lambda: results.append(run_engine(ctx, cfg).cloud(0.5))
-            )
-            for _ in range(8)
-        ]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=30)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(w.is_alive() for w in workers)
+    results = [run_engine(ctx, cfg).cloud(0.5) for _ in range(8)]
     # the autonomous cubic's one cloud is sampled at t = 0
     assert calls == [0.0]
-    assert len(results) == 8 and all(r is results[0] for r in results)
+    assert all(r is results[0] for r in results)
+    assert not results[0].samples.flags.writeable
 
 
 def test_failed_burn_in_is_an_error_verdict_and_releases_its_key(monkeypatch):
     # measure's burn-in raises a non-kolmolab exception; lsi needs the same
-    # cloud and must recompute it rather than block on the key or get the
-    # failure from the cache
-    monkeypatch.setenv("KOLMOLAB_THREADS", "1")
+    # cloud and must recompute it rather than get the failure from the cache
     calls = counting_sampler(monkeypatch, fail_first=True)
-    scn = parse_scenario(TINY_GENERAL)
-    reports = []
-    worker = threading.Thread(
-        target=lambda: reports.append(runner.run_scenario(scn)), daemon=True
-    )
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    measure, lsi, invariance = reports[0].experiments
+    report = runner.run_scenario(parse_scenario(TINY_GENERAL))
+    measure, lsi, invariance = report.experiments
     assert measure.verdict == "error"
     assert measure.error == "RuntimeError: burn-in exploded"
     assert measure.rows == ()
     assert lsi.verdict == "pass" and invariance.verdict == "pass"
     assert calls[0] == calls[1]
-    assert reports[0].verdict == "fail"
+    assert report.verdict == "fail"
 
 
 @pytest.mark.parametrize(

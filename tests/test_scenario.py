@@ -270,25 +270,6 @@ def test_shipped_scenarios_validate():
         assert scn.experiments, path
 
 
-def test_max_workers_env(monkeypatch):
-    monkeypatch.delenv("KOLMOLAB_THREADS", raising=False)
-    assert runner.max_workers(10) == 4
-    assert runner.max_workers(2) == 2
-    assert runner.max_workers(0) == 1
-
-    monkeypatch.setenv("KOLMOLAB_THREADS", "2")
-    assert runner.max_workers(10) == 2
-    monkeypatch.setenv("KOLMOLAB_THREADS", "16")
-    assert runner.max_workers(3) == 3
-
-    monkeypatch.setenv("KOLMOLAB_THREADS", "abc")
-    with pytest.raises(ScenarioError, match="positive integer"):
-        runner.max_workers(4)
-    monkeypatch.setenv("KOLMOLAB_THREADS", "0")
-    with pytest.raises(ScenarioError, match="positive integer"):
-        runner.max_workers(4)
-
-
 # ----------------------------------------------------------------------
 # fuzzing: malformed input fails only as a configuration error
 # ----------------------------------------------------------------------
