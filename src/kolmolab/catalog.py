@@ -69,6 +69,9 @@ class CatalogEntry:
             raise ScenarioError(
                 f"{self.name} needs dim 1, 2 or 3, got {params['dim']!r}"
             )
+        for key, val in params.items():
+            if not math.isfinite(val):
+                raise ScenarioError(f"{self.name} needs finite {key}, got {val}")
         return self.builder(self.name, params)
 
 

@@ -295,16 +295,15 @@ class MonteCarloEngine:
         return mu.samples[: self.n_outer], None
 
 
-def engine_for(bundle, cfg=None, tol=1e-8, memo=None, **mc_kwargs):
+def engine_for(bundle, cfg=None, **mc_kwargs):
     """The analytic engine when the bundle has a linear model, else the
-    Monte Carlo engine.
+    Monte Carlo engine; either keeps a memo of its own.
 
-    The analytic engine ignores ``cfg`` and ``mc_kwargs``.  ``memo`` is
-    shared by the engine (default: a memo of its own).
+    The analytic engine ignores ``cfg`` and ``mc_kwargs``.
     """
     if bundle.model is not None:
-        return AnalyticOUEngine(bundle.model, bundle.spec, tol=tol, memo=memo)
-    return MonteCarloEngine(bundle.spec, cfg=cfg, memo=memo, **mc_kwargs)
+        return AnalyticOUEngine(bundle.model, bundle.spec)
+    return MonteCarloEngine(bundle.spec, cfg=cfg, **mc_kwargs)
 
 
 _QUAD_REL_TOL = 1e-6

@@ -96,9 +96,9 @@ def coordinate(i=0, dim=1):
     return affine(e, 0.0, dim)
 
 
-def quadratic(S, u=None, c=0.0, dim=None):
+def quadratic(S, u=None, c=0.0):
     S = np.atleast_2d(np.asarray(S, dtype=float))
-    dim = S.shape[0] if dim is None else dim
+    dim = S.shape[0]
     u = np.zeros(dim) if u is None else np.asarray(u, dtype=float)
     Ssym = S + S.T
 
@@ -269,29 +269,30 @@ def _saturate(theta, flat, cap):
     return sign * s, d1, sign * d2
 
 
-def truncated_exp_ridge(lam=0.5, w=None, flat=7.0, cap=8.0, dim=1):
-    """f = exp(lam * s(<w, x>)) with s the identity smoothly saturated at cap.
+def truncated_exp_ridge(lam=0.5):
+    """f = exp(lam * s(x)) on the line, with s the identity smoothly
+    saturated at 8.
 
-    Inside |<w,x>| <= flat this is exactly exp(lam <w, x>); the function is
-    bounded and C^2 everywhere.
+    Inside |x| <= 7 this is exactly exp(lam x); the function is bounded and
+    C^2 everywhere.
     """
-    w = np.ones(dim) if w is None else np.asarray(w, dtype=float)
+    w = np.ones(1)
 
     def value(x):
-        s, _, _ = _saturate(x @ w, flat, cap)
+        s, _, _ = _saturate(x @ w, 7.0, 8.0)
         return np.exp(lam * s)
 
     def gradient(x):
-        s, d1, _ = _saturate(x @ w, flat, cap)
+        s, d1, _ = _saturate(x @ w, 7.0, 8.0)
         return (lam * d1 * np.exp(lam * s))[:, None] * w
 
     def hessian(x):
-        s, d1, d2 = _saturate(x @ w, flat, cap)
+        s, d1, d2 = _saturate(x @ w, 7.0, 8.0)
         coeff = (lam * d2 + (lam * d1) ** 2) * np.exp(lam * s)
         return coeff[:, None, None] * (w[:, None] * w[None, :])
 
     return TestFunction(
-        dim=dim,
+        dim=1,
         value=value,
         gradient=gradient,
         hessian=hessian,
@@ -385,10 +386,10 @@ def bounded_test_family(dim=1):
     return fams
 
 
-def _random_direction(rng, dim, lo=0.3, hi=2.0):
+def _random_direction(rng, dim):
     v = rng.normal(size=dim)
     v /= np.linalg.norm(v)
-    return v * rng.uniform(lo, hi)
+    return v * rng.uniform(0.3, 2.0)
 
 
 def lsi_battery(dim=1, n=50, seed=2024):

@@ -123,6 +123,8 @@ class Defect:
 _BURN_IN_TOL = 1e-3
 # Step of the Leimkuhler-Matthews burn-ins of autonomous gradient drifts.
 _LM_STEP = 5e-2
+# flow_derivative_defect's default h: its measures at r - h need r - h > start.
+FLOW_STEP = 1e-2
 
 
 def _mixing_span(spec, tol):
@@ -259,7 +261,7 @@ def invariance_defect(engine, s, t, fns, mu_s=None, mu_t=None):
     return defects
 
 
-def flow_derivative_defect(engine, f, r, h=1e-2):
+def flow_derivative_defect(engine, f, r, h=FLOW_STEP):
     """Defect of d/dr m_r(f) = -m_r(A(r) f) via a central difference.
 
     Only admits functions that are constant outside a compact set (the

@@ -12,6 +12,9 @@ Rows carry one of four verdicts:
 An experiment passes iff none of its rows fail; a report passes iff every
 experiment passes.  Experiments run one after another, in declared order, on
 the calling thread.
+
+A run validates its scenario once; its experiments share the bundle and the
+:class:`~kolmolab.sde.SimConfig` that ``validate_scenario`` returns.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .io import atomic_write_text
 from .memo import Memo
 from .measures import (
     _BURN_IN_TOL,
+    FLOW_STEP,
     burn_in_grid,
     export_measure_csv,
     export_measure_json,
@@ -69,15 +73,15 @@ __all__ = ["RunContext", "ExperimentReport", "Report", "run_scenario", "write_re
 
 SCHEMA_VERSION = 1
 
-# Monte Carlo engine sizes (cloud, inner, outer) by experiment kind; an
-# experiment's cloud/inner/outer keys override them.
+# The Monte Carlo engine sizes that an experiment kind sets apart from the
+# engine's defaults; an experiment's cloud/inner/outer keys override both.
 _MC_SIZES = {
-    "invariance": (16384, 192, 2048),
-    "flow": (16384, 192, 2048),
-    "hyper": (4096, 96, 1024),
-    "decay": (4096, 96, 1024),
+    "invariance": {"cloud_size": 16384},
+    "flow": {"cloud_size": 16384},
+    "hyper": {"cloud_size": 4096, "n_inner": 96, "n_outer": 1024},
+    "decay": {"cloud_size": 4096, "n_inner": 96, "n_outer": 1024},
 }
-_MC_DEFAULT_SIZES = (8192, 192, 2048)
+_MC_KEYS = {"cloud": "cloud_size", "inner": "n_inner", "outer": "n_outer"}
 
 
 @dataclass
@@ -121,15 +125,11 @@ class RunContext:
         experiment's kind and keys; both draw on the run's memo."""
         if self.analytic:
             return self._analytic_engine
-        cloud, inner, outer = _MC_SIZES.get(exp.kind, _MC_DEFAULT_SIZES)
-        return MonteCarloEngine(
-            self.spec,
-            cfg=self.cfg,
-            memo=self.memo,
-            cloud_size=int(exp.params.get("cloud", cloud)),
-            n_inner=int(exp.params.get("inner", inner)),
-            n_outer=int(exp.params.get("outer", outer)),
-        )
+        sizes = dict(_MC_SIZES.get(exp.kind, {}))
+        for key, arg in _MC_KEYS.items():
+            if key in exp.params:
+                sizes[arg] = exp.params.get(key)
+        return MonteCarloEngine(self.spec, cfg=self.cfg, memo=self.memo, **sizes)
 
     def default_s(self):
         start = self.spec.interval_start
@@ -297,7 +297,7 @@ def _run_invariance(ctx, exp):
 def _run_flow(ctx, exp):
     engine = ctx.engine(exp)
     rs = _times(exp.params, "r", [ctx.default_s() + 1.0])
-    h = float(exp.params.get("h", 1e-2))
+    h = float(exp.params.get("h", FLOW_STEP))
     n = int(exp.params.get("n", 5))
     fns = fb.compact_flat_battery(ctx.dim, n)
     rows = []
@@ -572,16 +572,6 @@ _RUNNERS = {
 # orchestration
 
 
-def _build_cfg(scn):
-    sim = scn.sim
-    return SimConfig(
-        dt=float(sim.get("dt", 1e-3)),
-        n_paths=int(sim.get("paths", 100_000)),
-        seed=int(sim.get("seed", 0)),
-        scheme=str(sim.get("scheme", "euler")),
-    )
-
-
 def _run_one(ctx, decl):
     try:
         rows = tuple(_RUNNERS[decl.kind](ctx, decl))
@@ -607,9 +597,7 @@ def _run_one(ctx, decl):
 def run_scenario(scn):
     """Validate and execute a scenario; returns a :class:`Report`."""
     t0 = time.monotonic()
-    bundle = validate_scenario(scn)
-    cfg = _build_cfg(scn)
-    cfg.check_against(bundle.spec)
+    bundle, cfg = validate_scenario(scn)
     ctx = RunContext(scn=scn, bundle=bundle, cfg=cfg)
 
     reports = [_run_one(ctx, d) for d in scn.experiments]

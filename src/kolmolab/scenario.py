@@ -31,6 +31,12 @@ Values are integers (``42``), reals (``1e-3``), bare or double-quoted
 strings, or arrays in brackets (``[0.5, 1, 4]``; commas optional).  A ``#``
 starts a comment anywhere outside quotes.  Parse and validation failures
 raise :class:`ScenarioError` carrying the offending line and column.
+
+Validation rejects every invalid input before any work starts.  Each rule
+has one owner: :class:`~kolmolab.sde.SimConfig` checks the sim block and
+:class:`~kolmolab.model.ProblemSpec` hypothesis (ii); this module adds what
+only a scenario needs (r0 < 0, no Leimkuhler-Matthews scheme, times after
+the interval start).
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import catalog, sde
-from .errors import ScenarioError
+from .errors import DomainError, ScenarioError
+from .measures import FLOW_STEP
 
 __all__ = [
     "ExperimentDecl",
@@ -75,7 +82,8 @@ _FLAGS = dict.fromkeys(("1", "true", "yes", "on"), True)
 _FLAGS.update(dict.fromkeys(("0", "false", "no", "off"), False))
 
 _CONSTANT_KEYS = ("eta0", "Lambda", "r0")
-_SIM_KEYS = ("dt", "paths", "seed", "scheme")
+# The sim keys and the SimConfig fields they set.
+_SIM_FIELDS = {"dt": "dt", "paths": "n_paths", "seed": "seed", "scheme": "scheme"}
 
 
 @dataclass(frozen=True)
@@ -347,9 +355,9 @@ def parse_scenario(text, source="<string>"):
             continue
 
         if top == "sim":
-            if key.text not in _SIM_KEYS:
+            if key.text not in _SIM_FIELDS:
                 _err(
-                    f"unknown sim key {key.text!r}; valid: {list(_SIM_KEYS)}",
+                    f"unknown sim key {key.text!r}; valid: {list(_SIM_FIELDS)}",
                     line=lineno,
                     column=key.column,
                 )
@@ -422,12 +430,15 @@ def _finite_values(exp, key):
     return vals
 
 
-def _check_times(scn, exp, keys, start):
-    for key in keys:
+def _check_times(scn, exp, start):
+    """Times, and flow's r - h, lie strictly after the interval start."""
+    h = max(_finite_values(exp, "h"), default=FLOW_STEP)
+    for key in ("s", "t", "r", "times"):
         for x in _finite_values(exp, key):
-            if math.isfinite(start) and x < start:
+            what, x = ("r - h", x - h) if key == "r" else ("time", x)
+            if x <= start:
                 _err(
-                    f"experiment {exp.name!r}: time {x} lies before the "
+                    f"experiment {exp.name!r}: {what} {x} lies at or before the "
                     f"interval start {start} of scenario {scn.name!r}"
                 )
 
@@ -499,11 +510,10 @@ def _check_exponents(exp):
 
 
 def validate_scenario(scn):
-    """Check catalog references, constants, and experiment declarations.
-
-    Returns the instantiated :class:`~kolmolab.catalog.ScenarioBundle` so
-    callers do not pay for building it twice.
-    """
+    """Check catalog references, constants, the sim block and experiment
+    declarations; returns ``(bundle, cfg)``, the instantiated
+    :class:`~kolmolab.catalog.ScenarioBundle` with the declared constants
+    and the run's :class:`~kolmolab.sde.SimConfig`."""
     if scn.catalog is None:
         _err(f"scenario {scn.name!r} declares no catalog entry")
     if scn.catalog not in catalog.names():
@@ -524,49 +534,36 @@ def validate_scenario(scn):
             f"{scn.catalog!r} has no linear-drift closed form"
         )
 
-    spec = bundle.spec
-    merged = {k: getattr(spec, k) for k in _CONSTANT_KEYS}
-    merged.update(scn.constants)
-    for key, val in merged.items():
+    # ProblemSpec holds 0 < eta0 <= Lambda; it accepts r0 >= 0 by design
+    for key, val in scn.constants.items():
         if not math.isfinite(val):
             _err(f"constant {key} must be finite, got {val}")
-    if merged["r0"] >= 0:
+    r0 = scn.constants.get("r0", bundle.spec.r0)
+    if r0 >= 0:
         _err(
-            f"r0 = {merged['r0']:+g} violates hypothesis (iv): the "
+            f"r0 = {r0:+g} violates hypothesis (iv): the "
             "dissipativity constant r0 must be strictly negative"
         )
-    if merged["eta0"] <= 0 or merged["Lambda"] < merged["eta0"]:
-        _err(
-            "hypothesis (ii) needs 0 < eta0 <= Lambda, got "
-            f"eta0 = {merged['eta0']:g}, Lambda = {merged['Lambda']:g}"
-        )
     if scn.constants:
-        spec = replace(spec, **scn.constants)
-        bundle = replace(bundle, spec=spec)
+        try:
+            bundle = replace(bundle, spec=replace(bundle.spec, **scn.constants))
+        except DomainError as exc:
+            _err(f"hypothesis (ii): {exc}")
 
-    for key, val in scn.sim.items():
-        if key == "dt":
-            if not isinstance(val, (int, float)) or not 0 < val < math.inf:
-                _err("sim dt must be a positive real")
-            if float(val) * abs(spec.r0) >= 0.5:
-                _err(
-                    f"sim dt = {val:g} is too coarse for r0 = {spec.r0:g}: "
-                    "need dt * |r0| < 0.5 for a stable integrator"
-                )
-        elif key == "paths":
-            if not isinstance(val, int) or val < 1:
-                _err("sim paths must be a positive integer")
-        elif key == "seed":
-            if not isinstance(val, int) or not 0 <= val < 2**64:
-                _err("sim seed must be a non-negative integer below 2**64")
-        elif key == "scheme":
-            if val not in sde._SCHEMES:
-                _err(f"sim scheme must be one of {list(sde._SCHEMES)}, got {val!r}")
+    # the Leimkuhler-Matthews step is for burn-ins, not for a scenario
+    scheme = scn.sim.get("scheme", "euler")
+    if scheme not in sde._SCHEMES:
+        _err(f"sim scheme must be one of {list(sde._SCHEMES)}, got {scheme!r}")
+    try:
+        cfg = sde.SimConfig(**{_SIM_FIELDS[k]: v for k, v in scn.sim.items()})
+        cfg.check_against(bundle.spec)
+    except DomainError as exc:
+        _err(f"sim {exc}")
 
     if not 0 < scn.tol < math.inf:
         _err("tol must be a positive real")
 
-    start = spec.interval_start
+    start = bundle.spec.interval_start
     for exp in scn.experiments:
         if exp.kind not in EXPERIMENT_KINDS:
             _err(
@@ -579,7 +576,7 @@ def validate_scenario(scn):
                 f"experiment {exp.name!r}: unknown key(s) {unknown} for kind "
                 f"{exp.kind!r}; valid: {list(_EXPERIMENT_KEYS[exp.kind])}"
             )
-        _check_times(scn, exp, ("s", "t", "r", "times"), start)
+        _check_times(scn, exp, start)
         _check_signs(exp)
         _check_arrays(exp)
         _check_exponents(exp)
@@ -591,4 +588,4 @@ def validate_scenario(scn):
                 f"experiment {exp.name!r}: the asymptotic-limit check needs "
                 "a linear-drift (ou) catalog entry"
             )
-    return bundle
+    return bundle, cfg

@@ -66,6 +66,7 @@ or any parallel scheduling -- and reruns are bit-identical.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -106,12 +107,16 @@ class SimConfig:
     scheme: str = "euler"
 
     def __post_init__(self):
-        if not (self.dt > 0.0):
-            raise DomainError("dt must be positive")
-        if self.n_paths < 1:
-            raise DomainError("n_paths must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError("seed must be a nonnegative integer below 2**64")
+        if not isinstance(self.dt, numbers.Real) or not 0.0 < self.dt < math.inf:
+            raise DomainError(f"dt must be a positive real, got {self.dt!r}")
+        if not isinstance(self.n_paths, numbers.Integral) or self.n_paths < 1:
+            raise DomainError(
+                f"n_paths must be a positive integer, got {self.n_paths!r}"
+            )
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
+            raise DomainError(
+                f"seed must be a non-negative integer below 2**64, got {self.seed!r}"
+            )
         schemes = _SCHEMES + (LEIMKUHLER_MATTHEWS,)
         if self.scheme not in schemes:
             raise DomainError(f"scheme must be one of {schemes}, got {self.scheme!r}")
@@ -119,8 +124,8 @@ class SimConfig:
     def check_against(self, spec):
         if spec.r0 < 0.0 and self.dt * abs(spec.r0) >= 0.5:
             raise DomainError(
-                f"dt * |r0| = {self.dt * abs(spec.r0):.3g} >= 0.5; "
-                "refusing an unstable step size"
+                f"dt = {self.dt:g} is too coarse for r0 = {spec.r0:g}: need "
+                "dt * |r0| < 0.5 for a stable integrator"
             )
 
 

@@ -266,53 +266,71 @@ def test_bad_set_syntax(capsys):
     assert "KEY=VALUE" in capsys.readouterr().err
 
 
+# (kind, --set assignment) pairs out of ou_const's domain
+OUT_OF_DOMAIN = [
+    ("poincare", "t=nan"),
+    ("poincare", "t=inf"),
+    ("poincare", "p=[0.5]"),
+    ("lsi", "p=[1.0]"),
+    ("hyper", "q=[1.0]"),
+    ("hyper", "gaps=[nan]"),
+    ("decay", "p=[2.0, nan]"),
+    ("flow", "h=0"),
+    ("invariance", "spans=[-0.5]"),
+    ("hyper", "gaps=[-1]"),
+    ("hyper", "curve_gaps=[-0.5]"),
+    ("decay", "gaps_a=[-1]"),
+    ("decay", "gaps_b=[-1]"),
+    ("invariance", "spans=[]"),
+    ("hyper", "q=[]"),
+    ("hyper", "gaps=[]"),
+    ("decay", "p=[]"),
+    ("limit", "times=[]"),
+    ("decay", "gaps_a=[]"),
+    ("decay", "gaps_b=[0, 1]"),
+    ("decay", "gaps_a=[1, 1]"),
+    ("lsi", "p=[]"),
+    ("poincare", "p=[]"),
+    ("flow", "r=[]"),
+    ("simulate", "spans=[]"),
+    ("measure", "radii=[]"),
+    ("lsi", "n=abc"),
+    ("lsi", "n=2.5"),
+    ("hyper", "inner=0"),
+    ("hyper", "outer=1.5"),
+    ("invariance", "cloud=abc"),
+    ("simulate", "paths=-1"),
+    ("poincare", "pp=3"),
+    ("measure", "t_grid=[1.0]"),
+    ("measure", "radii=[1, 0]"),
+    ("limit", "slack=-1"),
+    ("limit", "tol_final=0"),
+    ("poincare", 'p="'),
+    ("measure", "export=maybe"),
+]
+# ou_convergent's interval (0, inf) is open: no time may be 0, and flow's
+# central difference needs mu at r - h > 0 too (h = 1e-2 by default)
+BEFORE_THE_START = [
+    ("simulate", "s=0"),
+    ("flow", "r=[0.005]"),
+    ("flow", "r=[0.01]"),
+    ("measure", "times=[0.0]"),
+]
+
+
 @pytest.mark.parametrize(
-    "kind, assignment",
-    [
-        ("poincare", "t=nan"),
-        ("poincare", "t=inf"),
-        ("poincare", "p=[0.5]"),
-        ("lsi", "p=[1.0]"),
-        ("hyper", "q=[1.0]"),
-        ("hyper", "gaps=[nan]"),
-        ("decay", "p=[2.0, nan]"),
-        ("flow", "h=0"),
-        ("invariance", "spans=[-0.5]"),
-        ("hyper", "gaps=[-1]"),
-        ("hyper", "curve_gaps=[-0.5]"),
-        ("decay", "gaps_a=[-1]"),
-        ("decay", "gaps_b=[-1]"),
-        ("invariance", "spans=[]"),
-        ("hyper", "q=[]"),
-        ("hyper", "gaps=[]"),
-        ("decay", "p=[]"),
-        ("limit", "times=[]"),
-        ("decay", "gaps_a=[]"),
-        ("decay", "gaps_b=[0, 1]"),
-        ("decay", "gaps_a=[1, 1]"),
-        ("lsi", "p=[]"),
-        ("poincare", "p=[]"),
-        ("flow", "r=[]"),
-        ("simulate", "spans=[]"),
-        ("measure", "radii=[]"),
-        ("lsi", "n=abc"),
-        ("lsi", "n=2.5"),
-        ("hyper", "inner=0"),
-        ("hyper", "outer=1.5"),
-        ("invariance", "cloud=abc"),
-        ("simulate", "paths=-1"),
-        ("poincare", "pp=3"),
-        ("measure", "t_grid=[1.0]"),
-        ("measure", "radii=[1, 0]"),
-        ("limit", "slack=-1"),
-        ("limit", "tol_final=0"),
-        ("poincare", 'p="'),
-        ("measure", "export=maybe"),
+    "target, kind, assignment",
+    [pytest.param("ou_const", k, a, id=f"{k}-{a}") for k, a in OUT_OF_DOMAIN]
+    + [
+        pytest.param("ou_convergent", k, a, id=f"ou_convergent-{k}-{a}")
+        for k, a in BEFORE_THE_START
     ],
 )
-def test_out_of_domain_values_are_configuration_errors(kind, assignment, capsys):
+def test_out_of_domain_values_are_configuration_errors(
+    target, kind, assignment, capsys
+):
     start = time.monotonic()
-    assert cli.main([kind, "ou_const", "--set", assignment]) == 2
+    assert cli.main([kind, target, "--set", assignment]) == 2
     assert time.monotonic() - start < 10.0
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err

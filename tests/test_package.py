@@ -1,6 +1,7 @@
 """The package root, the README's library example, unused imports and
-parameters, the one surface of the engines and of the measures, and one
-execution path that reads no environment variable."""
+parameters, the one surface of the engines and of the measures, one
+execution path that reads no environment variable, and one reader of a
+scenario's sim block."""
 
 import ast
 import pathlib
@@ -212,3 +213,20 @@ def test_no_module_starts_threads_or_reads_the_environment():
     src = pathlib.Path(kolmolab.__file__).resolve().parent
     found = [u for p in sorted(src.glob("*.py")) for u in threads_and_environment(p)]
     assert found == []
+
+
+# A scenario's sim block becomes the run's SimConfig in one place:
+# validate_scenario builds it, and every other module takes that config.
+def sim_reads(path):
+    """'file:line expression' of each read of a ``.sim`` attribute."""
+    return [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "sim"
+    ]
+
+
+def test_only_the_scenario_module_reads_the_sim_block():
+    src = pathlib.Path(kolmolab.__file__).resolve().parent
+    paths = sorted(p for p in src.glob("*.py") if p.name != "scenario.py")
+    assert [u for p in paths for u in sim_reads(p)] == []

@@ -97,9 +97,8 @@ end
 
 def tiny_context(text=TINY_GENERAL):
     scn = parse_scenario(text)
-    return runner.RunContext(
-        scn=scn, bundle=validate_scenario(scn), cfg=runner._build_cfg(scn)
-    )
+    bundle, cfg = validate_scenario(scn)
+    return runner.RunContext(scn=scn, bundle=bundle, cfg=cfg)
 
 
 def counting_sampler(monkeypatch, fail_first=False):
@@ -201,7 +200,8 @@ def test_unstable_linear_euler_step_ends_as_error_verdict():
     )
     scn = parse_scenario(SIMULATE.format(catalog="ou_const", dt=0.1, spans="[60.0]"))
     bundle = ScenarioBundle("stiff", model.as_problem_spec(r0=-1.0), model, {})
-    ctx = runner.RunContext(scn=scn, bundle=bundle, cfg=runner._build_cfg(scn))
+    _, cfg = validate_scenario(scn)
+    ctx = runner.RunContext(scn=scn, bundle=bundle, cfg=cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         rep = runner._run_one(ctx, scn.experiments[0])
     assert rep.verdict == "error"
@@ -450,9 +450,8 @@ def test_each_kind_reads_only_its_declared_keys():
         scn = replace(
             parse_scenario(KEYS_SCENARIO.format(kind=engine_kind)), experiments=decls
         )
-        ctx = runner.RunContext(
-            scn=scn, bundle=validate_scenario(scn), cfg=runner._build_cfg(scn)
-        )
+        bundle, cfg = validate_scenario(scn)
+        ctx = runner.RunContext(scn=scn, bundle=bundle, cfg=cfg)
         for decl in decls:
             params = ReadRecorder(decl.params)
             rows = runner._RUNNERS[decl.kind](ctx, replace(decl, params=params))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kolmolab import cli, runner
+from kolmolab import cli, runner, sde
 from kolmolab.errors import DomainError, ScenarioError
 from kolmolab.scenario import (
     EXPERIMENT_KINDS,
@@ -164,6 +164,11 @@ def test_validate_catalog_references():
     e = verr("scenario a\n  catalog ou_const\n  param noise 1e200\nend\n")
     assert "bad parameters" in str(e)
 
+    # A(0) = sin(inf * 0) is nan: the measure's ODE solve would not return
+    for freq in ("inf", "-inf", "nan"):
+        e = verr(f"scenario a\n  catalog ou_periodic\n  param freq {freq}\nend\n")
+        assert "needs finite freq" in str(e)
+
 
 def test_validate_hypotheses():
     e = verr(
@@ -182,6 +187,8 @@ def test_validate_sim_block():
     assert "too coarse" in str(e)
     e = verr("scenario a\n  catalog ou_const\n  sim\n    dt -1e-3\n  end\nend\n")
     assert "positive real" in str(e)
+    e = verr('scenario a\n  catalog ou_const\n  sim\n    dt "1e-3"\n  end\nend\n')
+    assert "sim dt must be a positive real" in str(e)
     e = verr("scenario a\n  catalog ou_const\n  sim\n    paths 0\n  end\nend\n")
     assert "positive integer" in str(e)
     e = verr("scenario a\n  catalog ou_const\n  sim\n    seed -1\n  end\nend\n")
@@ -226,9 +233,13 @@ def test_validate_experiments():
 
 def test_validate_returns_bundle():
     scn = parse("scenario a\n  catalog ou_periodic\n  kind ou\nend\n")
-    bundle = validate_scenario(scn)
+    bundle, cfg = validate_scenario(scn)
     assert bundle.name == "ou_periodic"
     assert bundle.model is not None
+    assert cfg == sde.SimConfig()
+    # the sim block's keys set the config's fields
+    _, cfg = validate_scenario(parse(GOOD))
+    assert cfg == sde.SimConfig(dt=1e-3, n_paths=500, seed=3)
 
 
 def test_experiment_kinds_frozen():

@@ -353,6 +353,16 @@ def test_config_validation():
         sde.SimConfig(scheme="rk4")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_paths", 2.5), ("seed", 1.5), ("dt", math.inf), ("dt", "1e-3")],
+)
+def test_config_checks_field_types(field, value):
+    # each would be accepted, or end in a TypeError, without a type check
+    with pytest.raises(DomainError, match=field):
+        sde.SimConfig(**{field: value})
+
+
 def test_coarse_dt_rejected(ou_const_bundle):
     cfg = sde.SimConfig(dt=0.6, n_paths=10)
     with pytest.raises(DomainError):
