@@ -96,6 +96,7 @@ class AnalyticOUEngine:
 
     def measure(self, t):
         t = float(t)
+        self.spec.require_time(t)
         mu = self.memo("measures", self._evolution_measure, t)
         self._measures[round(t, 12)] = mu
         return mu

@@ -14,7 +14,8 @@ experiment passes.  Experiments run one after another, in declared order, on
 the calling thread.
 
 A run validates its scenario once; its experiments share the bundle and the
-:class:`~kolmolab.sde.SimConfig` that ``validate_scenario`` returns.
+:class:`~kolmolab.sde.SimConfig` that ``validate_scenario`` returns, and
+index their keys in the scenario it returns, each filled in and checked.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .io import atomic_write_text
 from .memo import Memo
 from .measures import (
     _BURN_IN_TOL,
-    FLOW_STEP,
     burn_in_grid,
     export_measure_csv,
     export_measure_json,
@@ -73,22 +73,11 @@ __all__ = ["RunContext", "ExperimentReport", "Report", "run_scenario", "write_re
 
 SCHEMA_VERSION = 1
 
-# The Monte Carlo engine sizes that an experiment kind sets apart from the
-# engine's defaults; an experiment's cloud/inner/outer keys override both.
-_MC_SIZES = {
-    "invariance": {"cloud_size": 16384},
-    "flow": {"cloud_size": 16384},
-    "hyper": {"cloud_size": 4096, "n_inner": 96, "n_outer": 1024},
-    "decay": {"cloud_size": 4096, "n_inner": 96, "n_outer": 1024},
-}
-_MC_KEYS = {"cloud": "cloud_size", "inner": "n_inner", "outer": "n_outer"}
-
-
 @dataclass
 class RunContext:
-    """What the experiments of one run share: the scenario, its bundle, the
-    simulation config, and one :class:`~kolmolab.memo.Memo` through which
-    every deterministic ingredient of G(t, s) is computed once."""
+    """What the experiments of one run share: the validated scenario, its
+    bundle, the sim config, and one :class:`~kolmolab.memo.Memo` through
+    which every deterministic ingredient of G(t, s) is computed once."""
 
     scn: object
     bundle: object
@@ -118,22 +107,15 @@ class RunContext:
     @property
     def analytic(self):
         """Whether experiments run on the closed-form (OU) engine."""
-        return self.model is not None and self.scn.kind != "general"
+        return self.scn.kind == "ou"
 
     def engine(self, exp):
         """The run's analytic engine, or a Monte Carlo engine sized by the
-        experiment's kind and keys; both draw on the run's memo."""
+        experiment's keys; both draw on the run's memo."""
         if self.analytic:
             return self._analytic_engine
-        sizes = dict(_MC_SIZES.get(exp.kind, {}))
-        for key, arg in _MC_KEYS.items():
-            if key in exp.params:
-                sizes[arg] = exp.params.get(key)
-        return MonteCarloEngine(self.spec, cfg=self.cfg, memo=self.memo, **sizes)
-
-    def default_s(self):
-        start = self.spec.interval_start
-        return 0.0 if math.isinf(start) else start + 1.0
+        sizes = [exp.params[key] for key in ("cloud", "inner", "outer")]
+        return MonteCarloEngine(self.spec, self.cfg, *sizes, memo=self.memo)
 
 
 @dataclass
@@ -174,13 +156,6 @@ def _fname(f, k):
     return f.meta.name or f"fn{k:02d}"
 
 
-def _times(params, key, default):
-    v = params.get(key, default)
-    if isinstance(v, (list, tuple)):
-        return [float(x) for x in v]
-    return [float(v)]
-
-
 # ---------------------------------------------------------------------------
 # experiment kinds
 
@@ -212,10 +187,8 @@ def _run_audit(ctx, exp):
 
 
 def _run_simulate(ctx, exp):
-    s = float(exp.params.get("s", ctx.default_s()))
-    spans = _times(exp.params, "spans", [0.5, 1.0])
-    n_paths = int(exp.params.get("paths", ctx.cfg.n_paths))
-    cfg = replace(ctx.cfg, n_paths=n_paths)
+    s, spans = exp.params["s"], exp.params["spans"]
+    cfg = replace(ctx.cfg, n_paths=exp.params["paths"])
     ts = [s + span for span in spans]
     certificates = jacobian_certificate(ctx.spec, s, ts, np.zeros(ctx.dim), cfg)
     rows = []
@@ -234,13 +207,11 @@ def _run_simulate(ctx, exp):
 
 def _run_measure(ctx, exp):
     engine = ctx.engine(exp)
-    s0 = ctx.default_s()
-    ts = _times(exp.params, "times", exp.params.get("t", s0 + 2.0))
-    radii = _times(exp.params, "radii", [1.0, 2.0, 4.0, 8.0])
-    export = exp.params.get("export", True) and bool(ctx.scn.out_dir)
+    radii = exp.params["radii"]
+    export = exp.params["export"] and bool(ctx.scn.out_dir)
     rows = []
     prev = None
-    for t in ts:
+    for t in exp.params["times"]:
         mu = engine.measure(t)
         outside = mu.tail_mass(radii)
         for R, frac in zip(radii, outside):
@@ -267,9 +238,7 @@ def _run_measure(ctx, exp):
 
 def _run_invariance(ctx, exp):
     engine = ctx.engine(exp)
-    s0 = float(exp.params.get("s", ctx.default_s()))
-    spans = _times(exp.params, "spans", [0.5, 1.0, 2.0])
-    n_cases = int(exp.params.get("n", 10))
+    s0, spans, n_cases = exp.params["s"], exp.params["spans"], exp.params["n"]
     fns = fb.bounded_test_family(ctx.dim)
     cases = [(fns[k % len(fns)], spans[k % len(spans)]) for k in range(n_cases)]
     # one call: cases that share a span share its push-forward, and an
@@ -296,12 +265,10 @@ def _run_invariance(ctx, exp):
 
 def _run_flow(ctx, exp):
     engine = ctx.engine(exp)
-    rs = _times(exp.params, "r", [ctx.default_s() + 1.0])
-    h = float(exp.params.get("h", FLOW_STEP))
-    n = int(exp.params.get("n", 5))
-    fns = fb.compact_flat_battery(ctx.dim, n)
+    h = exp.params["h"]
+    fns = fb.compact_flat_battery(ctx.dim, exp.params["n"])
     rows = []
-    for r in rs:
+    for r in exp.params["r"]:
         for k, f in enumerate(fns):
             d = flow_derivative_defect(engine, f, r, h=h)
             tol = max(100.0 * h * h, 4.0 * d.tolerance)
@@ -320,13 +287,11 @@ def _run_flow(ctx, exp):
 
 def _run_lsi(ctx, exp):
     engine = ctx.engine(exp)
-    t = float(exp.params.get("t", ctx.default_s() + 2.0))
-    ps = _times(exp.params, "p", [1.5, 2.0, 4.0])
-    n = int(exp.params.get("n", 50))
+    t = exp.params["t"]
     mu = engine.measure(t)
-    fns = fb.lsi_battery(ctx.dim, n)
+    fns = fb.lsi_battery(ctx.dim, exp.params["n"])
     rows = []
-    for p in ps:
+    for p in exp.params["p"]:
         worst = math.inf
         worst_tol = 0.0
         for k, f in enumerate(fns):
@@ -354,8 +319,7 @@ def _run_lsi(ctx, exp):
 
 def _run_poincare(ctx, exp):
     engine = ctx.engine(exp)
-    t = float(exp.params.get("t", ctx.default_s() + 2.0))
-    ps = _times(exp.params, "p", [2.0, 4.0, 6.0])
+    t, ps = exp.params["t"], exp.params["p"]
     mu = engine.measure(t)
     bound = math.sqrt(engine.Lambda / abs(engine.r0))
     fns = fb.bounded_test_family(ctx.dim)[:8]
@@ -400,10 +364,8 @@ def _run_poincare(ctx, exp):
 
 def _run_hyper(ctx, exp):
     engine = ctx.engine(exp)
-    s = float(exp.params.get("s", ctx.default_s()))
-    qs = _times(exp.params, "q", [1.5, 2.0])
-    gaps = _times(exp.params, "gaps", [0.25, 0.5, 1.0, 2.0])
-    n_cases = int(exp.params.get("n", 20))
+    s, qs, gaps = exp.params["s"], exp.params["q"], exp.params["gaps"]
+    n_cases = exp.params["n"]
     fns = fb.hyper_battery(ctx.dim, max(4, n_cases // (len(qs) * len(gaps)) + 1))
     cases = []
     for f in fns:
@@ -441,8 +403,7 @@ def _run_hyper(ctx, exp):
                 s=s,
             )
         )
-    curve_gaps = _times(exp.params, "curve_gaps", [0.0, 0.25, 0.5, 1.0, 2.0, 3.0])
-    curve = hyper_curve(engine, s, fns[0], qs[0], curve_gaps)
+    curve = hyper_curve(engine, s, fns[0], qs[0], exp.params["curve_gaps"])
     slack = 3.0 * float(np.max(curve.tolerances)) + 1e-5 if curve.ts.size else 0.0
     rows.append(
         _row(
@@ -471,16 +432,13 @@ def _decay_family(dim, affine):
 
 def _run_decay(ctx, exp):
     engine = ctx.engine(exp)
-    s = float(exp.params.get("s", ctx.default_s()))
-    ps = _times(exp.params, "p", [1.5, 2.0, 4.0])
-    gaps_a = _times(exp.params, "gaps_a", engine.decay_gaps_a)
-    gaps_b = _times(exp.params, "gaps_b", engine.decay_gaps_b)
+    s, ps, p_b = exp.params["s"], exp.params["p"], exp.params["p_b"]
     family = _decay_family(ctx.dim, engine.decay_affine)
     r0 = engine.r0
     rows = []
     fits_a = {}
     for p in ps:
-        fit = decay_fit_A(engine, s, family, p, gaps_a)
+        fit = decay_fit_A(engine, s, family, p, exp.params["gaps_a"])
         fits_a[p] = fit
         rows.append(
             _row(ctx, "decay_omega_A", fit.omega, 0.1, fit.omega <= r0 + 0.1, p=p, s=s)
@@ -488,8 +446,7 @@ def _run_decay(ctx, exp):
         rows.append(
             _row(ctx, "decay_residual_A", fit.residual, 0.0, "info", p=p, s=s)
         )
-    p_b = float(exp.params.get("p_b", 2.0))
-    fit_b = decay_fit_B(engine, s, family, p_b, gaps_b)
+    fit_b = decay_fit_B(engine, s, family, p_b, exp.params["gaps_b"])
     rows.append(
         _row(
             ctx,
@@ -522,10 +479,8 @@ def _run_decay(ctx, exp):
 
 def _run_limit(ctx, exp):
     model = ctx.model
-    ts = _times(exp.params, "times", [1.0, 2.0, 4.0, 8.0, 16.0])
-    t_inf = float(exp.params.get("t_inf", 50.0))
-    tol_final = float(exp.params.get("tol_final", 1e-3))
-    slack = float(exp.params.get("slack", 1e-5))
+    ts, t_inf = exp.params["times"], exp.params["t_inf"]
+    tol_final, slack = exp.params["tol_final"], exp.params["slack"]
     limit = solve_lyapunov_limit(
         model.A_mat(t_inf), model.B_mat(t_inf), model.g_vec(t_inf)
     )
@@ -597,7 +552,7 @@ def _run_one(ctx, decl):
 def run_scenario(scn):
     """Validate and execute a scenario; returns a :class:`Report`."""
     t0 = time.monotonic()
-    bundle, cfg = validate_scenario(scn)
+    scn, bundle, cfg = validate_scenario(scn)
     ctx = RunContext(scn=scn, bundle=bundle, cfg=cfg)
 
     reports = [_run_one(ctx, d) for d in scn.experiments]

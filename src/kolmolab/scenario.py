@@ -35,17 +35,22 @@ raise :class:`ScenarioError` carrying the offending line and column.
 Validation rejects every invalid input before any work starts.  Each rule
 has one owner: :class:`~kolmolab.sde.SimConfig` checks the sim block and
 :class:`~kolmolab.model.ProblemSpec` hypothesis (ii); this module adds what
-only a scenario needs (r0 < 0, no Leimkuhler-Matthews scheme, times after
-the interval start).
+only a scenario needs (r0 < 0, no Leimkuhler-Matthews scheme) and the
+experiment keys: ``_EXPERIMENT_KEYS`` declares each kind's keys and their
+defaults, ``_RULES`` each key's rule, and :func:`validate_scenario` hands
+the runners every key filled in, checked and typed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from operator import attrgetter
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 from . import catalog, sde
+from .engines import AnalyticOUEngine, MonteCarloEngine
 from .errors import DomainError, ScenarioError
 from .measures import FLOW_STEP
 
@@ -60,22 +65,84 @@ __all__ = [
     "EXPERIMENT_KINDS",
 ]
 
-# The keys each experiment kind reads; validation rejects any other.  Every
-# kind that evaluates on an engine also reads the Monte Carlo engine sizes.
-_ENGINE_KEYS = ("cloud", "inner", "outer")
+# Each experiment kind's keys and their defaults.  A list default makes a
+# list key, which reads a lone number as a one-element list.  A default that
+# depends on the run is a function of it: ``run.s0`` is the default start
+# time (1 after the interval start, 0 on the whole line), ``run.cfg`` the sim
+# config and ``run.engine`` the engine class.  Every kind that evaluates on
+# an engine also reads the Monte Carlo engine sizes, smaller for the nested
+# hyper and decay.
+_MC = {"cloud": 8192, "inner": 192, "outer": 2048}
+_MC_NESTED = {"cloud": 4096, "inner": 96, "outer": 1024}
+_S0 = attrgetter("s0")
 _EXPERIMENT_KEYS = {
-    "audit": (),
-    "simulate": ("s", "spans", "paths"),
-    "measure": ("times", "t", "radii", "export", *_ENGINE_KEYS),
-    "invariance": ("s", "spans", "n", *_ENGINE_KEYS),
-    "flow": ("r", "h", "n", *_ENGINE_KEYS),
-    "lsi": ("t", "p", "n", *_ENGINE_KEYS),
-    "poincare": ("t", "p", *_ENGINE_KEYS),
-    "hyper": ("s", "q", "gaps", "n", "curve_gaps", *_ENGINE_KEYS),
-    "decay": ("s", "p", "gaps_a", "gaps_b", "p_b", *_ENGINE_KEYS),
-    "limit": ("times", "t_inf", "tol_final", "slack", *_ENGINE_KEYS),
+    "audit": {},
+    "simulate": {"s": _S0, "spans": [0.5, 1.0], "paths": lambda run: run.cfg.n_paths},
+    "measure": {
+        "times": lambda run: [run.s0 + 2.0], "radii": [1.0, 2.0, 4.0, 8.0],
+        "export": True, **_MC,
+    },
+    "invariance": {"s": _S0, "spans": [0.5, 1.0, 2.0], "n": 10, **_MC, "cloud": 16384},
+    "flow": {
+        "r": lambda run: [run.s0 + 1.0], "h": FLOW_STEP, "n": 5, **_MC, "cloud": 16384
+    },
+    "lsi": {"t": lambda run: run.s0 + 2.0, "p": [1.5, 2.0, 4.0], "n": 50, **_MC},
+    "poincare": {"t": lambda run: run.s0 + 2.0, "p": [2.0, 4.0, 6.0], **_MC},
+    "hyper": {
+        "s": _S0, "q": [1.5, 2.0], "gaps": [0.25, 0.5, 1.0, 2.0], "n": 20,
+        "curve_gaps": [0.0, 0.25, 0.5, 1.0, 2.0, 3.0], **_MC_NESTED,
+    },
+    "decay": {
+        "s": _S0, "p": [1.5, 2.0, 4.0],
+        "gaps_a": lambda run: list(run.engine.decay_gaps_a),
+        "gaps_b": lambda run: list(run.engine.decay_gaps_b),
+        "p_b": 2.0, **_MC_NESTED,
+    },
+    "limit": {
+        "times": [1.0, 2.0, 4.0, 8.0, 16.0], "t_inf": 50.0, "tol_final": 1e-3,
+        "slack": 1e-5, **_MC,
+    },
 }
 EXPERIMENT_KINDS = tuple(_EXPERIMENT_KEYS)
+
+
+class _Rule(NamedTuple):
+    """Each value x of a key passes ``test(x)`` (a time, with no test, lies
+    after the interval start), else ``fails`` says why; ``cast`` is its type,
+    and a float key's values must be finite numbers."""
+
+    test: Optional[Callable]
+    fails: str
+    cast: type = float
+
+
+_TIME = _Rule(
+    None, "time {x} lies at or before the interval start {start} of scenario {scn!r}"
+)
+_POSITIVE = _Rule(lambda x: x > 0, "{key} must be positive, got {x!r}")
+_NON_NEGATIVE = _Rule(lambda x: x >= 0, "{key} must be non-negative, got {x!r}")
+_FINITE = _Rule(math.isfinite, "")
+_COUNT = _Rule(
+    lambda x: isinstance(x, int) and x >= 1,
+    "{key} must be a positive integer, got {x!r}",
+    int,
+)
+_EXPONENT = _Rule(lambda x: x >= 1, "{kind} needs finite {key} >= 1, got {x!r}")
+_EXPONENT_ABOVE_1 = _Rule(lambda x: x > 1, "{kind} needs finite {key} > 1, got {x!r}")
+_BOOL = _Rule(lambda x: isinstance(x, bool), "{key} must be a bool", bool)
+
+# Each key's rule; a (kind, key) entry overrides the key's rule for one kind.
+# Zero gaps are legal, since the default curve_gaps start at 0; t_inf is any
+# finite time.
+_RULES = {
+    **dict.fromkeys(("s", "t", "r", "times"), _TIME),
+    **dict.fromkeys(("spans", "h", "radii", "tol_final"), _POSITIVE),
+    **dict.fromkeys(("gaps", "curve_gaps", "gaps_a", "gaps_b", "slack"), _NON_NEGATIVE),
+    **dict.fromkeys(("n", "paths", "cloud", "inner", "outer"), _COUNT),
+    **dict.fromkeys(("p", "p_b"), _EXPONENT),
+    "q": _EXPONENT_ABOVE_1, ("lsi", "p"): _EXPONENT_ABOVE_1,
+    "t_inf": _FINITE, "export": _BOOL,
+}
 
 # The spellings of export, matched case-insensitively, and their bools.
 _FLAGS = dict.fromkeys(("1", "true", "yes", "on"), True)
@@ -418,102 +485,77 @@ def apply_overrides(scn, overrides):
     )
 
 
-def _finite_values(exp, key):
-    """The values of ``key`` (a number or a list of them), each finite."""
-    v = exp.params.get(key, [])
-    vals = v if isinstance(v, list) else [v]
-    for x in vals:
-        if not isinstance(x, (int, float)):
-            _err(f"experiment {exp.name!r}: {key} must be numeric")
-        if not math.isfinite(x):
-            _err(f"experiment {exp.name!r}: {key} must be finite, got {x}")
-    return vals
+def _checked(exp, key, value, default, run):
+    """``value`` of ``key`` in its declared shape -- a list if the key's
+    default is one, else one value -- with every value passing its rule."""
+    rule = _RULES.get((exp.kind, key), _RULES[key])
+    many = isinstance(default, list)
+    if isinstance(value, list) and not many:
+        _err(f"experiment {exp.name!r}: {key} takes one value, got {value!r}")
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        _err(f"experiment {exp.name!r}: {key} must not be empty")
+    for x in values:
+        if rule.cast is float:
+            if not isinstance(x, (int, float)):
+                _err(f"experiment {exp.name!r}: {key} must be numeric")
+            if not math.isfinite(x):
+                _err(f"experiment {exp.name!r}: {key} must be finite, got {x}")
+        if not (rule.test(x) if rule.test else x > run.start):
+            fails = rule.fails.format(key=key, x=x, kind=exp.kind, **vars(run))
+            _err(f"experiment {exp.name!r}: {fails}")
+    values = [rule.cast(x) for x in values]
+    return values if many else values[0]
 
 
-def _check_times(scn, exp, start):
-    """Times, and flow's r - h, lie strictly after the interval start."""
-    h = max(_finite_values(exp, "h"), default=FLOW_STEP)
-    for key in ("s", "t", "r", "times"):
-        for x in _finite_values(exp, key):
-            what, x = ("r - h", x - h) if key == "r" else ("time", x)
-            if x <= start:
-                _err(
-                    f"experiment {exp.name!r}: {what} {x} lies at or before the "
-                    f"interval start {start} of scenario {scn.name!r}"
-                )
+def _checked_params(exp, run):
+    """Every key of ``exp``'s kind, declared or default, checked and typed."""
+    keys = _EXPERIMENT_KEYS[exp.kind]
+    # measure's t is the one-value spelling of its times: t 3 is times [3]
+    valid = [*keys, "t"] if exp.kind == "measure" else list(keys)
+    unknown = sorted(set(exp.params) - set(valid))
+    if unknown:
+        _err(
+            f"experiment {exp.name!r}: unknown key(s) {unknown} for kind "
+            f"{exp.kind!r}; valid: {valid}"
+        )
+    declared = dict(exp.params)
+    if exp.kind == "measure" and "t" in declared:
+        if "times" in declared:
+            _err(f"experiment {exp.name!r}: declare t or times, not both")
+        declared["times"] = [_checked(exp, "t", declared.pop("t"), 0.0, run)]
+    params = {}
+    for key, default in keys.items():
+        default = default(run) if callable(default) else default
+        params[key] = _checked(exp, key, declared.get(key, default), default, run)
 
-
-# Time offsets, radii and tolerances by the sign they need; zero gaps are
-# legal, since the default curve_gaps start at 0.  t_inf is any finite time.
-_SIGNS = {"t_inf": None}
-_SIGNS.update(dict.fromkeys(("spans", "h", "radii", "tol_final"), "positive"))
-_SIGNS.update(
-    dict.fromkeys(("gaps", "curve_gaps", "gaps_a", "gaps_b", "slack"), "non-negative")
-)
-
-
-def _check_signs(exp):
-    for key, sign in _SIGNS.items():
-        for x in _finite_values(exp, key):
-            if sign and (x < 0 or x == 0 and sign == "positive"):
-                _err(f"experiment {exp.name!r}: {key} must be {sign}, got {x!r}")
-
-
-def _check_arrays(exp):
-    """Arrays must not be empty; each decay fit needs two distinct gaps, and
-    the gradient side's start at 1 (the short-time scale is governed by the
-    smoothing estimate, not the decay rate)."""
-    for key, v in exp.params.items():
-        if v == []:
-            _err(f"experiment {exp.name!r}: {key} must not be empty")
-    for key in ("gaps_a", "gaps_b"):
-        if key in exp.params and len(set(_finite_values(exp, key))) < 2:
+    # the rules that span keys: flow's central difference needs mu at r - h;
+    # each decay fit needs two distinct gaps, and the gradient side's start
+    # at 1 (the short-time scale is governed by the smoothing estimate, not
+    # the decay rate)
+    for r in params["r"] if exp.kind == "flow" else []:
+        if r - params["h"] <= run.start:
             _err(
-                f"experiment {exp.name!r}: {key} needs two distinct gaps to "
-                "fit a rate"
+                f"experiment {exp.name!r}: r - h {r - params['h']} lies at or "
+                f"before the interval start {run.start} of scenario {run.scn!r}"
             )
-    low = [x for x in _finite_values(exp, "gaps_b") if x < 1]
+    for key in ("gaps_a", "gaps_b") if exp.kind == "decay" else ():
+        if len(set(params[key])) < 2:
+            _err(
+                f"experiment {exp.name!r}: {key} needs two distinct gaps to fit a rate"
+            )
+    low = [x for x in params.get("gaps_b", []) if x < 1]
     if low:
         _err(f"experiment {exp.name!r}: gaps_b must be at least 1, got {low[0]!r}")
-
-
-def _check_counts(exp):
-    """Counts of points, paths or cases must be positive integers."""
-    for key in ("n", "cloud", "inner", "outer", "paths"):
-        v = exp.params.get(key, 1)
-        if not isinstance(v, int) or v < 1:
-            _err(
-                f"experiment {exp.name!r}: {key} must be a positive integer, "
-                f"got {v!r}"
-            )
-
-
-# Exponent keys per experiment kind, each >= 1; True where 1 is excluded.
-_EXPONENTS = {
-    "lsi": {"p": True},
-    "poincare": {"p": False},
-    "hyper": {"q": True},
-    "decay": {"p": False, "p_b": False},
-}
-
-
-def _check_exponents(exp):
-    for key, strict in _EXPONENTS.get(exp.kind, {}).items():
-        v = exp.params.get(key, [])
-        for x in v if isinstance(v, list) else [v]:
-            finite = isinstance(x, (int, float)) and math.isfinite(x)
-            if not finite or x < 1 or (strict and x == 1):
-                _err(
-                    f"experiment {exp.name!r}: {exp.kind} needs finite {key} "
-                    f"{'>' if strict else '>='} 1, got {x!r}"
-                )
+    return params
 
 
 def validate_scenario(scn):
     """Check catalog references, constants, the sim block and experiment
-    declarations; returns ``(bundle, cfg)``, the instantiated
-    :class:`~kolmolab.catalog.ScenarioBundle` with the declared constants
-    and the run's :class:`~kolmolab.sde.SimConfig`."""
+    declarations; returns ``(scn, bundle, cfg)``: the scenario with its engine
+    kind resolved and every experiment key filled in, checked and typed, the
+    :class:`~kolmolab.catalog.ScenarioBundle` with the declared constants and
+    the run's :class:`~kolmolab.sde.SimConfig`."""
     if scn.catalog is None:
         _err(f"scenario {scn.name!r} declares no catalog entry")
     if scn.catalog not in catalog.names():
@@ -525,7 +567,7 @@ def validate_scenario(scn):
         bundle = catalog.get(scn.catalog, **scn.params)
     except ScenarioError:
         raise
-    except (TypeError, ValueError, ArithmeticError) as exc:
+    except (TypeError, ValueError, ArithmeticError, DomainError) as exc:
         _err(f"bad parameters for catalog entry {scn.catalog!r}: {exc}")
 
     if scn.kind == "ou" and bundle.model is None:
@@ -533,6 +575,7 @@ def validate_scenario(scn):
             f"scenario {scn.name!r} requests kind 'ou' but catalog entry "
             f"{scn.catalog!r} has no linear-drift closed form"
         )
+    kind = scn.kind or ("general" if bundle.model is None else "ou")
 
     # ProblemSpec holds 0 < eta0 <= Lambda; it accepts r0 >= 0 by design
     for key, val in scn.constants.items():
@@ -564,28 +607,24 @@ def validate_scenario(scn):
         _err("tol must be a positive real")
 
     start = bundle.spec.interval_start
+    run = SimpleNamespace(
+        scn=scn.name,
+        start=start,
+        s0=0.0 if math.isinf(start) else start + 1.0,
+        cfg=cfg,
+        engine=AnalyticOUEngine if kind == "ou" else MonteCarloEngine,
+    )
+    experiments = []
     for exp in scn.experiments:
         if exp.kind not in EXPERIMENT_KINDS:
             _err(
                 f"unknown experiment kind {exp.kind!r}; "
                 f"valid: {list(EXPERIMENT_KINDS)}"
             )
-        unknown = sorted(set(exp.params) - set(_EXPERIMENT_KEYS[exp.kind]))
-        if unknown:
-            _err(
-                f"experiment {exp.name!r}: unknown key(s) {unknown} for kind "
-                f"{exp.kind!r}; valid: {list(_EXPERIMENT_KEYS[exp.kind])}"
-            )
-        _check_times(scn, exp, start)
-        _check_signs(exp)
-        _check_arrays(exp)
-        _check_exponents(exp)
-        _check_counts(exp)
-        if not isinstance(exp.params.get("export", True), bool):
-            _err(f"experiment {exp.name!r}: export must be a bool")
+        experiments.append(replace(exp, params=_checked_params(exp, run)))
         if exp.kind == "limit" and bundle.model is None:
             _err(
                 f"experiment {exp.name!r}: the asymptotic-limit check needs "
                 "a linear-drift (ou) catalog entry"
             )
-    return bundle, cfg
+    return replace(scn, kind=kind, experiments=tuple(experiments)), bundle, cfg

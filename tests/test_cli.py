@@ -307,6 +307,21 @@ OUT_OF_DOMAIN = [
     ("limit", "tol_final=0"),
     ("poincare", 'p="'),
     ("measure", "export=maybe"),
+    # a list given to a key that takes one value
+    ("poincare", "t=[1, 2]"),
+    ("measure", "t=[1, 2]"),
+    ("hyper", "s=[0,1]"),
+    ("simulate", "s=[0,1]"),
+    ("flow", "h=[0.01,0.02]"),
+    ("decay", "p_b=[2,3]"),
+    ("limit", "t_inf=[50,60]"),
+    ("limit", "slack=[0.1,0.2]"),
+    ("limit", "tol_final=[1e-3,1e-2]"),
+    ("lsi", "n=[1,2]"),
+    ("simulate", "paths=[16,32]"),
+    ("poincare", "cloud=[256,512]"),
+    ("poincare", "inner=[8,16]"),
+    ("poincare", "outer=[16,32]"),
 ]
 # ou_convergent's interval (0, inf) is open: no time may be 0, and flow's
 # central difference needs mu at r - h > 0 too (h = 1e-2 by default)
@@ -334,6 +349,12 @@ def test_out_of_domain_values_are_configuration_errors(
     assert time.monotonic() - start < 10.0
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
+
+
+def test_measure_takes_t_or_times_not_both(capsys):
+    assert cli.main(["measure", "ou_const", "--set", "t=5", "--set", "times=[1.0]"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "declare t or times, not both" in err
 
 
 # ----------------------------------------------------------------------

@@ -73,6 +73,15 @@ def test_burn_in_respects_interval():
     assert 0.0 < s0 < 20.0
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_analytic_measure_refuses_times_outside_the_interval(t):
+    # ou_convergent lives on (0, inf); its Gaussian mu_t exists only there
+    engine = engines.engine_for(catalog.get("ou_convergent"))
+    with pytest.raises(DomainError, match="outside the time interval"):
+        engine.measure(t)
+    assert engine.measure(0.5).mean.shape == (1,)
+
+
 def test_burn_in_needs_contraction():
     spec = catalog.get("ou_const").spec
     relabeled = spec.__class__(

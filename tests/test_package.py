@@ -230,3 +230,25 @@ def test_only_the_scenario_module_reads_the_sim_block():
     src = pathlib.Path(kolmolab.__file__).resolve().parent
     paths = sorted(p for p in src.glob("*.py") if p.name != "scenario.py")
     assert [u for p in paths for u in sim_reads(p)] == []
+
+
+# An experiment's keys get their defaults, shapes and rules in one place:
+# validate_scenario fills in and checks every key, and the runners index
+# the checked values.
+def param_gets(path):
+    """'file:line expression' of each ``.params.get(...)`` call."""
+    return [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "params"
+    ]
+
+
+def test_only_the_scenario_module_defaults_experiment_keys():
+    src = pathlib.Path(kolmolab.__file__).resolve().parent
+    paths = sorted(p for p in src.glob("*.py") if p.name != "scenario.py")
+    assert [u for p in paths for u in param_gets(p)] == []

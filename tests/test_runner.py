@@ -96,8 +96,7 @@ end
 
 
 def tiny_context(text=TINY_GENERAL):
-    scn = parse_scenario(text)
-    bundle, cfg = validate_scenario(scn)
+    scn, bundle, cfg = validate_scenario(parse_scenario(text))
     return runner.RunContext(scn=scn, bundle=bundle, cfg=cfg)
 
 
@@ -200,7 +199,7 @@ def test_unstable_linear_euler_step_ends_as_error_verdict():
     )
     scn = parse_scenario(SIMULATE.format(catalog="ou_const", dt=0.1, spans="[60.0]"))
     bundle = ScenarioBundle("stiff", model.as_problem_spec(r0=-1.0), model, {})
-    _, cfg = validate_scenario(scn)
+    scn, _, cfg = validate_scenario(scn)
     ctx = runner.RunContext(scn=scn, bundle=bundle, cfg=cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         rep = runner._run_one(ctx, scn.experiments[0])
@@ -382,25 +381,37 @@ def test_failed_burn_in_is_an_error_verdict_and_releases_its_key(monkeypatch):
     ],
 )
 def test_engine_sizes_by_kind_and_keys(kind, sizes):
-    ctx = tiny_context()
-    engine = ctx.engine(ExperimentDecl(kind=kind, name=kind))
-    assert (engine.cloud_size, engine.n_inner, engine.n_outer) == sizes
-    assert engine.memo is ctx.memo and engine.cfg is ctx.cfg
+    def engine(engine_kind, params):
+        # ou_const on either engine: limit needs a linear model
+        decl = ExperimentDecl(kind=kind, name=kind, params=params)
+        scn = replace(
+            parse_scenario(KEYS_SCENARIO.format(kind=engine_kind)), experiments=(decl,)
+        )
+        scn, bundle, cfg = validate_scenario(scn)
+        ctx = runner.RunContext(scn=scn, bundle=bundle, cfg=cfg)
+        return ctx, ctx.engine(scn.experiments[0])
+
+    ctx, mc = engine("general", {})
+    assert (mc.cloud_size, mc.n_inner, mc.n_outer) == sizes
+    assert mc.memo is ctx.memo and mc.cfg is ctx.cfg
     keys = {"cloud": 100, "inner": 7, "outer": 9}
-    engine = ctx.engine(ExperimentDecl(kind=kind, name=kind, params=keys))
-    assert (engine.cloud_size, engine.n_inner, engine.n_outer) == (100, 7, 9)
-    analytic = tiny_context(TINY_OU).engine(
-        ExperimentDecl(kind=kind, name=kind, params=keys)
-    )
+    _, mc = engine("general", keys)
+    assert (mc.cloud_size, mc.n_inner, mc.n_outer) == (100, 7, 9)
+    _, analytic = engine("ou", keys)
     assert isinstance(analytic, engines.AnalyticOUEngine)
 
 
 class ReadRecorder(dict):
-    """Experiment parameters that record every key read through ``get``."""
+    """Experiment parameters that record every key read, by subscript or
+    through ``get``."""
 
     def __init__(self, params):
         super().__init__(params)
         self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
     def get(self, key, default=None):
         self.read.add(key)
@@ -450,9 +461,11 @@ def test_each_kind_reads_only_its_declared_keys():
         scn = replace(
             parse_scenario(KEYS_SCENARIO.format(kind=engine_kind)), experiments=decls
         )
-        bundle, cfg = validate_scenario(scn)
+        scn, bundle, cfg = validate_scenario(scn)
         ctx = runner.RunContext(scn=scn, bundle=bundle, cfg=cfg)
-        for decl in decls:
+        for decl in scn.experiments:
+            # validation fills in every key of the table, and only those
+            assert decl.params.keys() == declared[decl.kind].keys(), decl.kind
             params = ReadRecorder(decl.params)
             rows = runner._RUNNERS[decl.kind](ctx, replace(decl, params=params))
             assert rows, decl.kind

@@ -164,6 +164,11 @@ def test_validate_catalog_references():
     e = verr("scenario a\n  catalog ou_const\n  param noise 1e200\nend\n")
     assert "bad parameters" in str(e)
 
+    # noise 0 gives eta0 = 0: the builder's own DomainError is reported too
+    e = verr("scenario a\n  catalog ou_const\n  param noise 0\nend\n")
+    assert "bad parameters for catalog entry 'ou_const'" in str(e)
+    assert "ellipticity" in str(e)
+
     # A(0) = sin(inf * 0) is nan: the measure's ODE solve would not return
     for freq in ("inf", "-inf", "nan"):
         e = verr(f"scenario a\n  catalog ou_periodic\n  param freq {freq}\nend\n")
@@ -233,13 +238,46 @@ def test_validate_experiments():
 
 def test_validate_returns_bundle():
     scn = parse("scenario a\n  catalog ou_periodic\n  kind ou\nend\n")
-    bundle, cfg = validate_scenario(scn)
+    checked, bundle, cfg = validate_scenario(scn)
+    assert checked == scn
     assert bundle.name == "ou_periodic"
     assert bundle.model is not None
     assert cfg == sde.SimConfig()
     # the sim block's keys set the config's fields
-    _, cfg = validate_scenario(parse(GOOD))
+    _, _, cfg = validate_scenario(parse(GOOD))
     assert cfg == sde.SimConfig(dt=1e-3, n_paths=500, seed=3)
+
+
+def test_validate_fills_and_types_every_key():
+    checked, _, _ = validate_scenario(parse(GOOD))
+    sizes = {"cloud": 8192, "inner": 192, "outer": 2048}
+    assert [e.params for e in checked.experiments] == [
+        {"t": 1.0, "p": [1.5, 2.0, 4.0], "n": 50, **sizes},
+        {"t": 2.0, "p": [1.5, 2.0, 4.0], "n": 50, **sizes},
+    ]
+    # the engine kind is resolved: ou where the entry has a closed form
+    assert checked.kind == "ou"
+    text = "scenario a\n  catalog {}\n  experiment {}\n{}  end\nend\n"
+    checked, _, _ = validate_scenario(parse(text.format("cubic_dissipative", "decay", "")))
+    assert checked.kind == "general"
+    # run-dependent defaults: the start time, the engine's decay gaps
+    decay = checked.experiments[0].params
+    assert decay["s"] == 0.0 and decay["gaps_a"] == decay["gaps_b"] == [1.0, 2.0, 3.0]
+    assert decay["p"] == [1.5, 2.0, 4.0] and decay["p_b"] == 2.0
+    # ou_convergent's interval starts at 0, so its default start time is 1;
+    # a lone number of a list key is a one-element list of floats, and
+    # simulate's paths default to the sim block's
+    checked, _, cfg = validate_scenario(
+        parse(text.format("ou_convergent", "simulate", "    spans 2\n"))
+    )
+    simulate = checked.experiments[0].params
+    assert simulate == {"s": 1.0, "spans": [2.0], "paths": cfg.n_paths}
+    # measure's t is the one-value spelling of its times
+    checked, _, _ = validate_scenario(parse(text.format("ou_const", "measure", "    t 5\n")))
+    assert checked.experiments[0].params["times"] == [5.0]
+    assert "t" not in checked.experiments[0].params
+    e = verr(text.format("ou_const", "measure", "    t 5\n    times [1.0]\n"))
+    assert "declare t or times, not both" in str(e)
 
 
 def test_experiment_kinds_frozen():
@@ -300,7 +338,7 @@ ODD_TOKENS = [
     "end", "experiment", "sim", "constants", "param", "scenario", "kind",
     "dim", "noise", "rate", "dt", "seed", "scheme", "r0", "eta0",
     "cloud", "inner", "n", "p", "q", "h", "spans", "gaps", "radii", "slack",
-    "tol_final", "t_inf", "times", "export", "pp",
+    "tol_final", "t_inf", "times", "export", "pp", "s", "t", "p_b", "[1, 2]",
 ]
 TOKENS = st.one_of(st.sampled_from(ODD_TOKENS), st.text(max_size=6))
 
@@ -342,9 +380,21 @@ def test_fuzzed_scenarios_fail_only_as_configuration_errors(text):
     st.lists(TOKENS, max_size=3).map(" ".join),
 )
 def test_fuzzed_set_assignments_fail_only_as_configuration_errors(kind, key, raw):
+    def checked(params):
+        exp = ExperimentDecl(kind=kind, name=kind, params=params)
+        scn = Scenario(name="fuzz", catalog="ou_const", experiments=(exp,))
+        return validate_scenario(scn)[0].experiments[0].params
+
     try:
         key, value = cli._parse_assignment(f"{key}={raw}")
-        exp = ExperimentDecl(kind=kind, name=kind, params={key: value})
-        validate_scenario(Scenario(name="fuzz", catalog="ou_const", experiments=(exp,)))
+        params = checked({key: value})
     except (ScenarioError, DomainError):
-        pass
+        return
+    # a value that passes has its key's declared shape, the default's: a
+    # list of floats, a float, an int count or a bool
+    defaults = checked({})
+    assert params.keys() == defaults.keys()
+    for k, v in params.items():
+        assert type(v) is type(defaults[k]), (k, v)
+        if isinstance(v, list):
+            assert v and all(type(x) is float for x in v), (k, v)
